@@ -89,17 +89,20 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _manifest(command: str, path: str, params: dict, t0: float) -> dict:
-    return {
-        "command": command,
-        "input_sha256": _sha256(path),
-        "parameters": _jsonify(params),
-        "version": __version__,
-        "duration_seconds": format(time.monotonic() - t0, ".17g"),
+def _emit(
+    command: str, path: str, params: dict, t0: float, body: dict, output
+) -> None:
+    """Write the {"manifest", "report"} document to output or stdout."""
+    doc = {
+        "manifest": {
+            "command": command,
+            "input_sha256": _sha256(path),
+            "parameters": _jsonify(params),
+            "version": __version__,
+            "duration_seconds": format(time.monotonic() - t0, ".17g"),
+        },
+        "report": _jsonify(body),
     }
-
-
-def _emit(doc: dict, output) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -209,16 +212,7 @@ def cmd_invariants(path: str, xi_text: str, oracle_m, output) -> None:
             "h_from_oracle": h_oracle,
             "df_from_oracle": df_oracle,
         }
-    doc = {
-        "manifest": _manifest(
-            "invariants",
-            path,
-            {"xi": xi_text, "oracle": oracle_m},
-            t0,
-        ),
-        "report": _jsonify(body),
-    }
-    _emit(doc, output)
+    _emit("invariants", path, {"xi": xi_text, "oracle": oracle_m}, t0, body, output)
 
 
 @main.command("optimize")
@@ -264,16 +258,8 @@ def cmd_optimize(path: str, tol: float, max_iter: int, trace: bool, output) -> N
         }
     if trace and result.trace is not None:
         body["trace"] = result.trace
-    doc = {
-        "manifest": _manifest(
-            "optimize",
-            path,
-            {"tol": tol, "max_iter": max_iter, "trace": trace},
-            t0,
-        ),
-        "report": _jsonify(body),
-    }
-    _emit(doc, output)
+    params = {"tol": tol, "max_iter": max_iter, "trace": trace}
+    _emit("optimize", path, params, t0, body, output)
     if result.status == "unbounded_direction":
         sys.exit(EXIT_UNBOUNDED)
     if result.status == "max_iterations":
@@ -326,13 +312,7 @@ def cmd_dh(path: str, xi_text: str, m: int, bins, output) -> None:
             sample.lambdas, bins=bins, range=(lo, hi), weights=sample.masses
         )
         body["histogram"] = {"edges": edges, "masses": masses}
-    doc = {
-        "manifest": _manifest(
-            "dh", path, {"xi": xi_text, "m": m, "bins": bins}, t0
-        ),
-        "report": _jsonify(body),
-    }
-    _emit(doc, output)
+    _emit("dh", path, {"xi": xi_text, "m": m, "bins": bins}, t0, body, output)
 
 
 def _load_character_input(path: str):
@@ -411,16 +391,8 @@ def cmd_character(path: str, xi_text: str, t_text: str, m_max: int, output) -> N
             "b0_error": abs(fit.b0 - float(b0)),
             "b1_error": abs(fit.b1 - float(b1)),
         }
-    doc = {
-        "manifest": _manifest(
-            "character",
-            path,
-            {"xi": xi_text, "t": t_text, "m_max": m_max},
-            t0,
-        ),
-        "report": _jsonify(body),
-    }
-    _emit(doc, output)
+    params = {"xi": xi_text, "t": t_text, "m_max": m_max}
+    _emit("character", path, params, t0, body, output)
 
 
 if __name__ == "__main__":

@@ -47,8 +47,3 @@ def corpus_path(name: str) -> Path:
 
 def load_corpus(name: str) -> LatticePolytope:
     return load_polytope(corpus_path(name))
-
-
-def corpus_polytopes():
-    """All bundled polytopes, in the canonical order."""
-    return [load_corpus(name) for name in CORPUS_NAMES]

@@ -38,10 +38,32 @@ def require_reflexive(P) -> None:
         )
 
 
-def _log_c0_over_v(P, xf: np.ndarray) -> float:
-    """log(c0(xi) / V) computed fully in log space; the n! cancels."""
+def _log_ratio_b0_b1(P, xf: np.ndarray):
+    """(log(c0/V), b0, b1) at a float direction from one moment pass;
+    log(c0/V) is computed fully in log space, so the n! cancels."""
     shift, i0, _, _ = exp_moments(lg.triangulate(P).simplices, xf, order=0)
-    return shift + math.log(i0) - math.log(float(lg.volume(P)))
+    log_ratio = shift + math.log(i0) - math.log(float(lg.volume(P)))
+    b0, b1 = b0_b1_exact(P, xf)
+    return log_ratio, b0, b1
+
+
+def _h(P, log_ratio: float, b1) -> float:
+    v = float(lg.normalized_volume(P))
+    return -v * log_ratio - 2.0 * math.factorial(P.dim - 1) * float(b1)
+
+
+def _df(n: int, b0, b1) -> Fraction:
+    return math.factorial(n) * (b0 - Fraction(2, n) * b1)
+
+
+def _gap(P, log_ratio: float, b0, b1) -> float:
+    """n! b0 + V log(c0/V), checked against the literal DF - H."""
+    v = float(lg.normalized_volume(P))
+    gap = math.factorial(P.dim) * float(b0) + v * log_ratio
+    literal = float(_df(P.dim, b0, b1)) - _h(P, log_ratio, b1)
+    if not abs(gap - literal) <= 1e-12 * max(1.0, abs(gap)):
+        raise ArithmeticError("jensen gap disagrees with DF - H beyond roundoff")
+    return gap
 
 
 def h_raw(P, xi) -> float:
@@ -49,17 +71,14 @@ def h_raw(P, xi) -> float:
     xf = as_float_vector(xi, P.dim)
     if not np.any(xf):
         return 0.0  # exact normalization: c0(0) = V and b1(0) = 0
-    v = float(lg.normalized_volume(P))
-    _, b1 = b0_b1_exact(P, xf)
-    return -v * _log_c0_over_v(P, xf) - 2.0 * math.factorial(P.dim - 1) * float(b1)
+    log_ratio, _, b1 = _log_ratio_b0_b1(P, xf)
+    return _h(P, log_ratio, b1)
 
 
 def df_raw(P, xi) -> Fraction:
     """DF without the reflexivity gate, exact in exact arithmetic."""
-    xe = as_exact_vector(xi, P.dim)
-    b0, b1 = b0_b1_exact(P, xe)
-    n = P.dim
-    return math.factorial(n) * (b0 - Fraction(2, n) * b1)
+    b0, b1 = b0_b1_exact(P, as_exact_vector(xi, P.dim))
+    return _df(P.dim, b0, b1)
 
 
 def h_invariant(P, xi) -> float:
@@ -82,14 +101,7 @@ def jensen_gap(P, xi) -> float:
     xf = as_float_vector(xi, P.dim)
     if not np.any(xf):
         return 0.0
-    b0, _ = b0_b1_exact(P, xf)
-    v = float(lg.normalized_volume(P))
-    gap = math.factorial(P.dim) * float(b0) + v * _log_c0_over_v(P, xf)
-    literal = float(df_raw(P, xf)) - h_raw(P, xf)
-    assert abs(gap - literal) <= 1e-12 * max(1.0, abs(gap)), (
-        "jensen gap disagrees with DF - H beyond roundoff"
-    )
-    return gap
+    return _gap(P, *_log_ratio_b0_b1(P, xf))
 
 
 @dataclass(frozen=True)
@@ -135,7 +147,8 @@ class InvariantReport:
 def build_report(P, xi) -> InvariantReport:
     """Aggregate report; raises NotReflexive on non-Fano-normalized input.
 
-    The defining identities are re-asserted on the assembled fields:
+    The defining identities are re-checked on the assembled fields
+    (ArithmeticError when one fails):
     H = -V log(c0/V) - 2 (n-1)! b1 and DF = n! (b0 - (2/n) b1) to 1e-12,
     and gap = DF - H >= -1e-9.
     """
@@ -145,29 +158,31 @@ def build_report(P, xi) -> InvariantReport:
     n = P.dim
     vol = lg.volume(P)
     v = lg.normalized_volume(P)
+    # b0/b1 are reported at the exact direction; H and the gap use the
+    # float direction, as h_invariant and jensen_gap do
     b0, b1 = b0_b1_exact(P, xe)
     if np.any(xf):
-        log_ratio = _log_c0_over_v(P, xf)
+        log_ratio, b0_f, b1_f = _log_ratio_b0_b1(P, xf)
         log_c0 = math.log(math.factorial(n) * float(vol)) + log_ratio
         # c0 itself can overflow a double long before its logarithm does
         c0 = math.exp(log_c0) if log_c0 < 709.0 else math.inf
+        h = _h(P, log_ratio, b1_f)
+        gap = _gap(P, log_ratio, b0_f, b1_f)
     else:
         log_ratio = 0.0
         c0 = float(v)
-    h = h_raw(P, xf)
-    df_exact = df_raw(P, xe)
+        h = gap = 0.0
+    df_exact = _df(n, b0, b1)
     df = float(df_exact)
-    gap = jensen_gap(P, xf)
 
     h_again = -float(v) * log_ratio - 2 * math.factorial(n - 1) * float(b1)
-    assert abs(h - h_again) <= 1e-12 * max(1.0, abs(h)) + 1e-12, (
-        "H does not satisfy its defining identity"
-    )
+    if not abs(h - h_again) <= 1e-12 * max(1.0, abs(h)) + 1e-12:
+        raise ArithmeticError("H does not satisfy its defining identity")
     df_again = math.factorial(n) * (float(b0) - (2.0 / n) * float(b1))
-    assert abs(df - df_again) <= 1e-12 * max(1.0, abs(df)) + 1e-12, (
-        "DF does not satisfy its defining identity"
-    )
-    assert gap >= -1e-9, "Jensen gap is negative beyond tolerance"
+    if not abs(df - df_again) <= 1e-12 * max(1.0, abs(df)) + 1e-12:
+        raise ArithmeticError("DF does not satisfy its defining identity")
+    if not gap >= -1e-9:
+        raise ArithmeticError("Jensen gap is negative beyond tolerance")
 
     return InvariantReport(
         polytope_name=P.name,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -32,7 +33,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DegeneratePolytope, NonRationalInput, ParseError
-from .simplex_calculus import AffineForm, Simplex
+from .simplex_calculus import (
+    AffineForm,
+    Simplex,
+    _det,
+    _dot,
+    integral_linear_simplex,
+)
 
 Point = tuple  # tuple[Fraction, ...]; alias only for readability
 
@@ -68,31 +75,6 @@ def as_rational_point(p) -> Point:
 
 # ---------------------------------------------------------------------------
 # exact linear algebra (small dense systems over Fraction)
-
-
-def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination. det([]) = 1."""
-    k = len(rows)
-    if k == 0:
-        return Fraction(1)
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, k):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            for c in range(col, k):
-                a[r][c] -= f * a[col][c]
-    return det
 
 
 def _rank(rows: Iterable[Sequence[Fraction]]) -> int:
@@ -146,10 +128,6 @@ def _solve_exact(cols: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
 
 def _sub(p: Point, q: Point) -> Point:
     return tuple(a - b for a, b in zip(p, q))
-
-
-def _dot(p, q) -> Fraction:
-    return sum((a * b for a, b in zip(p, q)), Fraction(0))
 
 
 def _primitive_outward(normal: Sequence[Fraction], offset: Fraction):
@@ -395,11 +373,7 @@ def _facet_measure(piece: Sequence[Point], normal) -> Fraction:
     n = len(normal)
     rows = [_sub(p, piece[0]) for p in piece[1:]]
     rows.append(tuple(Fraction(v) for v in normal))
-    d = _det(rows)
-    nf = 1
-    for k in range(2, n):
-        nf *= k
-    return abs(d) / (nf * _dot(normal, normal))
+    return abs(_det(rows)) / (math.factorial(n - 1) * _dot(normal, normal))
 
 
 @functools.lru_cache(maxsize=64)
@@ -458,10 +432,7 @@ def volume(P: LatticePolytope) -> Fraction:
 
 def normalized_volume(P: LatticePolytope) -> Fraction:
     """n! * vol(P); integer for lattice polytopes."""
-    nf = 1
-    for k in range(2, P.dim + 1):
-        nf *= k
-    return nf * volume(P)
+    return math.factorial(P.dim) * volume(P)
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +454,10 @@ def boundary_integral(P: LatticePolytope, form: AffineForm) -> Fraction:
 
 def interior_integral(P: LatticePolytope, form: AffineForm) -> Fraction:
     """Exact integral of an affine form over P against Lebesgue measure."""
-    total = Fraction(0)
-    for s in triangulate(P).simplices:
-        mean = sum((form(v) for v in s.vertices), Fraction(0)) / len(
-            s.vertices
-        )
-        total += s.volume() * mean
-    return total
+    return sum(
+        (integral_linear_simplex(s, form) for s in triangulate(P).simplices),
+        Fraction(0),
+    )
 
 
 @functools.lru_cache(maxsize=256)

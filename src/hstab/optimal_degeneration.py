@@ -41,33 +41,32 @@ def _boundary_moment_float(P) -> np.ndarray:
     return np.array([float(b) for b in lg.boundary_moment_vector(P)])
 
 
-def _gibbs(P, xf: np.ndarray, order: int):
-    shift, i0, i1, i2 = exp_moments(lg.triangulate(P).simplices, xf, order)
-    mean = np.array(i1) / i0 if order >= 1 else None
-    cov = None
-    if order >= 2:
-        second = np.array(i2) / i0
-        cov = second - np.outer(mean, mean)
-    return mean, cov
+def _grad_hess(P, xf: np.ndarray, order: int):
+    """Gradient of H and, at order 2, its exactly symmetrized Hessian (else
+    None) from one moment pass; the Gibbs mean and covariance are the
+    normalized first and centred second moments."""
+    _, i0, i1, i2 = exp_moments(lg.triangulate(P).simplices, xf, order)
+    v = float(lg.normalized_volume(P))
+    mean = np.array(i1) / i0
+    grad = v * mean - math.factorial(P.dim - 1) * _boundary_moment_float(P)
+    if order < 2:
+        return grad, None
+    cov = np.array(i2) / i0 - np.outer(mean, mean)
+    hess = -v * cov
+    return grad, (hess + hess.T) / 2.0
 
 
 def h_gradient(P, xi) -> np.ndarray:
     """Gradient of H: V * (Gibbs mean) - (n-1)! * (boundary moments)."""
     require_reflexive(P)
-    xf = as_float_vector(xi, P.dim)
-    mean, _ = _gibbs(P, xf, order=1)
-    v = float(lg.normalized_volume(P))
-    return v * mean - math.factorial(P.dim - 1) * _boundary_moment_float(P)
+    return _grad_hess(P, as_float_vector(xi, P.dim), order=1)[0]
 
 
 def h_hessian(P, xi) -> np.ndarray:
     """Hessian of H: the negated Gibbs covariance scaled by V, symmetrized
     exactly; negative definite for full-dimensional P."""
     require_reflexive(P)
-    xf = as_float_vector(xi, P.dim)
-    _, cov = _gibbs(P, xf, order=2)
-    hess = -float(lg.normalized_volume(P)) * cov
-    return (hess + hess.T) / 2.0
+    return _grad_hess(P, as_float_vector(xi, P.dim), order=2)[1]
 
 
 def recession_slope(P, eta) -> float:
@@ -138,21 +137,6 @@ def maximize_h(
     if not (tol > 0):
         raise ValueError("tol must be positive")
     n = P.dim
-    v = float(lg.normalized_volume(P))
-    bmom = _boundary_moment_float(P)
-    nm1fact = math.factorial(n - 1)
-    tri = lg.triangulate(P).simplices
-
-    def eval_h(x: np.ndarray) -> float:
-        return h_raw(P, x)
-
-    def eval_grad_hess(x: np.ndarray):
-        shift, i0, i1, i2 = exp_moments(tri, x, order=2)
-        mean = np.array(i1) / i0
-        cov = np.array(i2) / i0 - np.outer(mean, mean)
-        grad = v * mean - nm1fact * bmom
-        hess = -v * cov
-        return grad, (hess + hess.T) / 2.0
 
     trace: Optional[list] = [] if keep_trace else None
     xi = np.zeros(n)
@@ -175,7 +159,7 @@ def maximize_h(
 
     status = "max_iterations"
     for it in range(max_iter):
-        grad, hess = eval_grad_hess(xi)
+        grad, hess = _grad_hess(P, xi, order=2)
         gnorm = float(np.linalg.norm(grad))
         if trace is not None:
             trace.append(
@@ -203,7 +187,7 @@ def maximize_h(
         h_cand = h_val
         for _ in range(_MAX_HALVINGS):
             cand = xi + s * step
-            h_cand = eval_h(cand)
+            h_cand = h_raw(P, cand)
             if h_cand >= h_val + _ARMIJO * s * slope:
                 accepted = True
                 break
@@ -232,11 +216,10 @@ def maximize_h(
         h_val = h_cand
         iterations = it + 1
         # Jensen ordering must hold at every iterate
-        assert float(df_raw(P, xi)) >= h_val - 1e-9, (
-            "DF fell below H along the ascent"
-        )
+        if not float(df_raw(P, xi)) >= h_val - 1e-9:
+            raise ArithmeticError("DF fell below H along the ascent")
 
-    final_grad, final_hess = eval_grad_hess(xi)
+    final_grad, final_hess = _grad_hess(P, xi, order=2)
     final_top = float(np.linalg.eigvalsh(final_hess)[-1])
     return OptimizationResult(
         status=status,

@@ -55,7 +55,8 @@ def _dot(p, q):
     return sum((a * b for a, b in zip(p, q)), Fraction(0))
 
 
-def _det_fraction(rows) -> Fraction:
+def _det(rows) -> Fraction:
+    """Exact determinant by Gaussian elimination over Fraction; det([]) = 1."""
     k = len(rows)
     a = [list(r) for r in rows]
     det = Fraction(1)
@@ -126,7 +127,7 @@ class Simplex:
             raise DegenerateSimplex(
                 f"need {n + 1} vertices in R^{n}, got {len(self.vertices)}"
             )
-        det = _det_fraction(self.edge_matrix())
+        det = _det(self.edge_matrix())
         return abs(det) / math.factorial(n)
 
 
@@ -209,17 +210,10 @@ def exp_divided_difference(nodes) -> float:
 
 def integral_exp_simplex(S: Simplex, a) -> float:
     """float integral of exp(-<a, x>) over a full-dimensional simplex."""
-    vol = S.volume()
-    if vol == 0:
+    if S.volume() == 0:
         raise DegenerateSimplex("simplex has zero volume")
-    af = [float(c) for c in a]
-    if len(af) != S.dim:
-        raise ValueError("form has wrong dimension")
-    nodes = [
-        -math.fsum(c * float(x) for c, x in zip(af, v)) for v in S.vertices
-    ]
-    n = S.dim
-    return math.factorial(n) * float(vol) * exp_divided_difference(nodes)
+    shift, i0, _, _ = exp_moments([S], a, order=0)
+    return _safe_exp(shift) * i0
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     TruncationTooCoarse,
 )
-from .simplex_calculus import exp_moments
+from .simplex_calculus import _safe_exp, exp_moments
 
 # t samples for the weight-character Laurent fit; fixed for reproducibility
 LAURENT_T_SAMPLES = (0.5, 0.4, 0.3, 0.25, 0.2)
@@ -269,7 +269,7 @@ def load_weight_table(path) -> WeightTable:
                 line=1,
             )
         dim = len(header) - 2
-        rows = {}
+        by_degree = {}  # m -> {alpha: dim}
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # ignore blank lines
@@ -290,22 +290,21 @@ def load_weight_table(path) -> WeightTable:
                 raise ParseError(
                     f"multiplicity {d} must be >= 1", line=lineno
                 )
-            if (m, alpha) in rows:
+            rows = by_degree.setdefault(m, {})
+            if alpha in rows:
                 raise ParseError(
                     f"duplicate row for m = {m}, alpha = {alpha}", line=lineno
                 )
-            rows[(m, alpha)] = d
-    if not rows:
+            rows[alpha] = d
+    if not by_degree:
         raise ParseError("no data rows", line=2)
-    m_max = max(m for m, _ in rows)
+    m_max = max(by_degree)
     blocks = {}
     bound_sq = Fraction(0)
     for m in range(1, m_max + 1):
-        entries = sorted(
-            (alpha, d) for (mm, alpha), d in rows.items() if mm == m
-        )
-        if not entries:
+        if m not in by_degree:
             raise EmptyDegree(f"table has no entries at degree m = {m}")
+        entries = sorted(by_degree[m].items())
         alphas = np.array([a for a, _ in entries], dtype=np.int64)
         dims = np.array([d for _, d in entries], dtype=np.int64)
         blocks[m] = (alphas, dims)
@@ -437,7 +436,7 @@ def c0_exact(P, xi) -> float:
     divided-difference simplex integrals."""
     xf = as_float_vector(xi, P.dim)
     shift, i0, _, _ = exp_moments(lg.triangulate(P).simplices, xf, order=0)
-    return math.factorial(P.dim) * _safe_exp_times(shift, i0)
+    return math.factorial(P.dim) * (_safe_exp(shift) * i0)
 
 
 def log_c0_exact(P, xi) -> float:
@@ -445,13 +444,6 @@ def log_c0_exact(P, xi) -> float:
     xf = as_float_vector(xi, P.dim)
     shift, i0, _, _ = exp_moments(lg.triangulate(P).simplices, xf, order=0)
     return math.log(math.factorial(P.dim)) + shift + math.log(i0)
-
-
-def _safe_exp_times(shift: float, value: float) -> float:
-    try:
-        return math.exp(shift) * value
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def max_vertex_norm(P) -> float:
@@ -475,7 +467,7 @@ def c0_lipschitz_check(P, xi, xi2) -> LipschitzCheck:
         math.factorial(P.dim)
         * float(lg.volume(P))
         * r
-        * _safe_exp_times(r * big, 1.0)
+        * _safe_exp(r * big)
         * float(np.linalg.norm(xf - xf2))
     )
     actual = abs(c0_exact(P, xf) - c0_exact(P, xf2))
@@ -523,12 +515,12 @@ class DHSample:
 
     def __post_init__(self):
         total = math.fsum(self.masses.tolist())
-        assert abs(total - 1.0) <= 1e-12, "masses must sum to 1"
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError("masses must sum to 1")
         if self.lambdas.size:
             worst = float(np.max(np.abs(self.lambdas)))
-            assert worst <= self.weight_bound + 1e-12, (
-                "support exceeds the weight bound"
-            )
+            if not worst <= self.weight_bound + 1e-12:
+                raise ValueError("support exceeds the weight bound")
 
     @property
     def atoms(self):

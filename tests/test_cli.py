@@ -107,6 +107,13 @@ def test_invariants_matches_library(runner):
     assert rep["volume"] == "4"
     assert rep["normalized_volume"] == "8"
     assert doc["manifest"]["command"] == "invariants"
+    assert list(doc["manifest"]) == [
+        "command",
+        "input_sha256",
+        "parameters",
+        "version",
+        "duration_seconds",
+    ]
     assert re.fullmatch(r"[0-9a-f]{64}", doc["manifest"]["input_sha256"])
 
 

@@ -16,6 +16,7 @@ import hstab.lattice_geom as lg
 import hstab.weight_rings as wr
 from hstab import corpus
 from hstab.errors import NotReflexive
+from hstab.simplex_calculus import exp_moments
 
 
 def interval_h(x):
@@ -266,3 +267,30 @@ def test_report_huge_direction_keeps_h_finite():
     assert math.isfinite(rep.h)
     # sinh(x)/x ~ e^x / (2x) for large x
     assert rep.h == pytest.approx(-2 * (1200 - math.log(2400)), rel=1e-12)
+
+
+def test_report_makes_one_moment_pass(monkeypatch):
+    calls = []
+
+    def counting(simplices, xi, order=2):
+        calls.append(order)
+        return exp_moments(simplices, xi, order)
+
+    monkeypatch.setattr(inv, "exp_moments", counting)
+    inv.build_report(corpus.load_corpus("blowup_one"), (0.3, -0.5))
+    assert calls == [0]
+
+
+def test_report_h_and_gap_bitwise_equal_to_public_functions(polytopes):
+    """The report, h_invariant and jensen_gap read one evaluation, so they
+    agree to the bit for float and for 'p/q' directions alike."""
+    for P in polytopes.values():
+        floats = tuple(0.37 * (-1) ** i + 0.11 * i for i in range(P.dim))
+        rationals = tuple(f"{(-1) ** i * (2 + i)}/7" for i in range(P.dim))
+        for xi in (floats, rationals):
+            rep = inv.build_report(P, xi)
+            assert rep.h.hex() == inv.h_invariant(P, xi).hex(), (P.name, xi)
+            assert rep.jensen_gap.hex() == inv.jensen_gap(P, xi).hex(), (
+                P.name,
+                xi,
+            )

@@ -224,6 +224,15 @@ def test_stationarity_identity():
     assert np.max(np.abs(g)) < 1e-9
 
 
+def test_final_state_bitwise_equal_to_public_gradient_and_hessian(polytopes):
+    for P in polytopes.values():
+        res = od.maximize_h(P)
+        grad_norm = float(np.linalg.norm(od.h_gradient(P, res.xi_star)))
+        top = float(np.linalg.eigvalsh(od.h_hessian(P, res.xi_star))[-1])
+        assert grad_norm.hex() == res.grad_norm.hex(), P.name
+        assert top.hex() == res.hessian_max_eigenvalue.hex(), P.name
+
+
 def test_monotone_ascent_and_df_dominates():
     P = corpus.load_corpus("blowup_two")
     res = od.maximize_h(P, keep_trace=True)

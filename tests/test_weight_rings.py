@@ -8,6 +8,9 @@ the interval's DH limit.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +133,10 @@ def test_csv_errors(tmp_path):
 
     with pytest.raises(EmptyDegree):
         load("m,a1,dim\n1,0,1\n3,0,1\n")  # degree 2 missing
+
+    with pytest.raises(EmptyDegree) as err:
+        load("m,a1,dim\n4,0,1\n1,0,1\n")  # the first missing degree is named
+    assert "m = 2" in str(err.value)
 
     with pytest.raises(ParseError):
         load("m,a1,dim\n")  # no rows
@@ -361,6 +368,43 @@ def test_dh_masses_sum_and_support(polytopes):
         s = wr.dh_measure(T, xi, 8)
         assert math.fsum(s.masses.tolist()) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(s.lambdas)) <= s.weight_bound + 1e-12
+
+
+def test_dh_sample_checks_survive_python_O():
+    """The DHSample invariants are explicit raises, not asserts, so they
+    hold under python -O, which strips assert statements."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from hstab.weight_rings import DHSample\n"
+        "try:\n"
+        "    DHSample(level=1, lambdas=np.array([0.0]),\n"
+        "             masses=np.array([0.5]), weight_bound=1.0)\n"
+        "except ValueError as exc:\n"
+        "    print('raised', exc, sys.flags.optimize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(wr.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised masses must sum to 1 1"
+
+
+def test_dh_sample_rejects_support_beyond_bound():
+    with pytest.raises(ValueError, match="weight bound"):
+        wr.DHSample(
+            level=1,
+            lambdas=np.array([2.0]),
+            masses=np.array([1.0]),
+            weight_bound=1.0,
+        )
 
 
 def test_dh_interval_cdf_close_to_uniform():
