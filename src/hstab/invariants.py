@@ -159,8 +159,8 @@ def build_report(P, xi) -> InvariantReport:
     vol = lg.volume(P)
     v = lg.normalized_volume(P)
     # b0/b1 are reported at the exact direction; H and the gap use the
-    # float direction, as h_invariant and jensen_gap do
-    b0, b1 = b0_b1_exact(P, xe)
+    # float direction, as h_invariant and jensen_gap do.  The two are one
+    # direction unless xi was given as exact "p/q" strings.
     if np.any(xf):
         log_ratio, b0_f, b1_f = _log_ratio_b0_b1(P, xf)
         log_c0 = math.log(math.factorial(n) * float(vol)) + log_ratio
@@ -172,6 +172,10 @@ def build_report(P, xi) -> InvariantReport:
         log_ratio = 0.0
         c0 = float(v)
         h = gap = 0.0
+    if np.any(xf) and xe == as_exact_vector(xf, n):
+        b0, b1 = b0_f, b1_f
+    else:
+        b0, b1 = b0_b1_exact(P, xe)
     df_exact = _df(n, b0, b1)
     df = float(df_exact)
 

@@ -1,8 +1,10 @@
 """Exact geometry of rational polytopes against a fixed lattice.
 
-Everything here is computed over ``fractions.Fraction``: convex hulls,
-facet normals, star triangulations, Euclidean and lattice-normalized
-boundary measures, and the dilation point counts ``|mP /\\ Z^n|``.  Floats
+Everything here is exact: convex hulls (a double-description method over
+integers, whose cost follows the facet count rather than the number of
+point subsets), facet normals, star triangulations, Euclidean and
+lattice-normalized boundary measures, and the dilation point counts
+``|mP /\\ Z^n|``, over ``fractions.Fraction`` and Python ints.  Floats
 enter only when a caller converts the exact answers.
 
 Conventions:
@@ -21,12 +23,10 @@ Conventions:
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
@@ -130,65 +130,107 @@ def _sub(p: Point, q: Point) -> Point:
     return tuple(a - b for a, b in zip(p, q))
 
 
-def _primitive_outward(normal: Sequence[Fraction], offset: Fraction):
-    """Scale a rational (normal, offset) pair by a positive factor so the
-    normal becomes a primitive integer vector; orientation is preserved."""
-    denom_lcm = 1
-    for c in normal:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in normal]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    assert g > 0, "zero normal cannot be primitivized"
-    return tuple(v // g for v in ints), offset * denom_lcm / g
+def _primitive_outward(normal: Sequence[int], offset):
+    """Divide an integer (normal, offset) pair by the gcd of the normal so
+    the normal becomes primitive; orientation is preserved."""
+    g = math.gcd(*normal)
+    if g == 0:
+        raise ValueError("zero normal cannot be primitivized")
+    return tuple(v // g for v in normal), Fraction(offset) / g
 
 
 # ---------------------------------------------------------------------------
-# convex hull: exhaustive exact facet enumeration
+# convex hull: exact double description
 
 
-def _spanned_normal(pts: Sequence[Point]) -> Optional[Point]:
-    """Normal of the hyperplane through d points in R^d via cofactors of the
-    edge matrix; None when the points are affinely dependent."""
-    d = len(pts)
-    edges = [_sub(p, pts[0]) for p in pts[1:]]  # (d-1) x d
-    normal = []
-    for j in range(d):
-        minor = [[row[c] for c in range(d) if c != j] for row in edges]
-        normal.append((-1) ** j * _det(minor))
-    if all(v == 0 for v in normal):
-        return None
-    return tuple(normal)
+def _kernel_vector(rows: Sequence[Sequence[int]]) -> list:
+    """Integer vector orthogonal to k integer rows of length k + 1: the
+    signed k x k minors (a generalized cross product); zero when the rows
+    are dependent."""
+    return [
+        (-1) ** j
+        * int(_det([[Fraction(x) for x in r[:j] + r[j + 1 :]] for r in rows]))
+        for j in range(len(rows) + 1)
+    ]
+
+
+def _primitive_ray(ray: Sequence[int]) -> tuple:
+    g = math.gcd(*ray)
+    return tuple(x // g for x in ray)
 
 
 def _hull_facets(points: Sequence[Point], d: int):
     """All facets of conv(points), assumed full-dimensional in R^d.
 
     Returns {(primitive integer normal, rational offset): sorted tuple of
-    indices of the input points lying on the facet}.  Cost is
-    C(len(points), d) * len(points) exact hyperplane sidings, which is the
-    intended scale (tens of points, d <= 4).
+    indices of the input points lying on the facet}.
+
+    Double description (Fukuda & Prodon 1996) of the cone of valid
+    inequalities {(a, c) : <a, p> <= c for every point p}, whose extreme
+    rays are the facets.  The cone starts as the d + 1 facets of a simplex
+    on affinely independent points; each further point cuts it, and every
+    pair of rays on opposite sides of the cut that passes the combinatorial
+    adjacency test is combined into a ray on it.  Rays are primitive
+    integer vectors and each carries its zero set, the points it is tight
+    on so far, as a bitmask.  Cost grows with the facets met on the way,
+    not with C(len(points), d).
     """
-    facets = {}
-    for subset in itertools.combinations(range(len(points)), d):
-        normal = _spanned_normal([points[i] for i in subset])
-        if normal is None:
+    # row i is a positive integer multiple of (p_i, -1), so <row_i, ray>
+    # has the sign of <a, p_i> - c
+    rows = []
+    for p in points:
+        den = math.lcm(*(x.denominator for x in p))
+        rows.append(tuple(int(x * den) for x in p) + (-den,))
+
+    seed = []
+    for i in range(len(rows)):
+        exact = [[Fraction(x) for x in rows[j]] for j in seed + [i]]
+        if _rank(exact) > len(seed):
+            seed.append(i)
+            if len(seed) == d + 1:
+                break
+    else:
+        raise DegeneratePolytope(
+            f"points span an affine subspace of dimension < {d}"
+        )
+    rays, zeros = [], []
+    for j in seed:
+        ray = _kernel_vector([rows[i] for i in seed if i != j])
+        if sum(a * b for a, b in zip(rows[j], ray)) > 0:
+            ray = [-x for x in ray]
+        rays.append(_primitive_ray(ray))
+        zeros.append(sum(1 << i for i in seed if i != j))
+
+    for i, row in enumerate(rows):
+        if i in seed:
             continue
-        c = _dot(normal, points[subset[0]])
-        sides = [_dot(normal, p) - c for p in points]
-        if all(s <= 0 for s in sides):
-            pass
-        elif all(s >= 0 for s in sides):
-            normal = tuple(-v for v in normal)
-            c = -c
-            sides = [-s for s in sides]
-        else:
-            continue
-        key = _primitive_outward(normal, c)
-        if key not in facets:
-            facets[key] = tuple(i for i, s in enumerate(sides) if s == 0)
-    return facets
+        bit = 1 << i
+        vals = [sum(a * b for a, b in zip(row, r)) for r in rays]
+        new_rays, new_zeros = [], []
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        for p in [k for k, v in enumerate(vals) if v > 0]:
+            for q in neg:
+                # adjacent iff no third ray is tight wherever both are
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < d - 1 or any(
+                    k != p and k != q and common & z == common
+                    for k, z in enumerate(zeros)
+                ):
+                    continue
+                ray = [vals[p] * b - vals[q] * a for a, b in zip(rays[p], rays[q])]
+                new_rays.append(_primitive_ray(ray))
+                new_zeros.append(common | bit)
+        keep = [k for k, v in enumerate(vals) if v <= 0]
+        rays = [rays[k] for k in keep] + new_rays
+        zeros = [zeros[k] | (bit if vals[k] == 0 else 0) for k in keep]
+        zeros += new_zeros
+
+    return {
+        _primitive_outward(ray[:d], ray[d]): tuple(
+            i for i in range(len(points)) if z >> i & 1
+        )
+        for ray, z in zip(rays, zeros)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +311,8 @@ def build_polytope(points, name: str = "") -> LatticePolytope:
     facets = []
     for (normal, offset), inc in raw_facets.items():
         ids = tuple(sorted(reindex[i] for i in inc if i in reindex))
-        assert len(ids) >= n, "facet with too few vertices"
+        if len(ids) < n:
+            raise DegeneratePolytope("facet with too few vertices")
         facets.append(Facet(normal=normal, offset=offset, vertex_ids=ids))
     facets.sort(key=lambda f: (f.normal, f.offset))
     return LatticePolytope(
@@ -339,7 +382,8 @@ def _fan_face(points: Sequence[Point], d: int):
     Returns lex-sorted tuples of d+1 original points."""
     points = sorted(points)
     if d == 0:
-        assert len(points) == 1
+        if len(points) != 1:
+            raise ValueError("a 0-dimensional face has exactly one point")
         return [tuple(points)]
     if len(points) == d + 1:
         return [tuple(points)]
@@ -354,7 +398,8 @@ def _fan_face(points: Sequence[Point], d: int):
             basis.append(e)
         if len(basis) == d:
             break
-    assert len(basis) == d, "face does not span a d-flat"
+    if len(basis) != d:
+        raise DegeneratePolytope("face does not span a d-flat")
     coords = [_solve_exact(basis, _sub(p, base)) for p in points]
 
     simplices = []

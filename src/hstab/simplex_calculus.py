@@ -25,7 +25,10 @@ recursion on sorted nodes, switching to the mean-shifted series
 
 (h_k the complete homogeneous symmetric polynomials) whenever a block of
 nodes spans at most 1e-4, so confluent and clustered nodes lose no
-accuracy to cancellation.
+accuracy to cancellation.  Both halves are output-sensitive: a tight block
+is summed only when the recursion reads it, so a node set that is one
+tight block costs a single series, and the series builds h_k one degree
+at a time and stops at its first negligible term.
 """
 
 from __future__ import annotations
@@ -162,18 +165,22 @@ def integral_linear_simplex(S: Simplex, form: AffineForm) -> Fraction:
 
 def _series_block(nodes: Sequence[float]) -> float:
     """Mean-shifted series for exp[nodes]; intended for spans <= ~1e-4 but
-    correct (just slower to converge) for any span."""
+    correct (just slower to converge) for any span.
+
+    h_k(ys) is built one degree at a time, each as the running sums
+    h_k(ys[:m+1]) = h_k(ys[:m]) + ys[m] * h_{k-1}(ys[:m+1]) over m, and the
+    series stops at the first negligible term past k = 1."""
     r = len(nodes) - 1
     mu = math.fsum(nodes) / len(nodes)
     ys = [x - mu for x in nodes]
-    hs = [0.0] * (_SERIES_MAX_TERMS + 1)
-    hs[0] = 1.0
-    for y in ys:
-        for k in range(1, _SERIES_MAX_TERMS + 1):
-            hs[k] += y * hs[k - 1]
-    total = 0.0
-    for k in range(_SERIES_MAX_TERMS + 1):
-        term = hs[k] / math.factorial(r + k)
+    col = [1.0] * len(ys)  # h_0 of every prefix of ys
+    total = 1.0 / math.factorial(r)
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        acc = 0.0
+        for m, y in enumerate(ys):
+            acc += y * col[m]
+            col[m] = acc
+        term = acc / math.factorial(r + k)
         total += term
         if k >= 2 and abs(term) < _SERIES_TAIL:
             break
@@ -185,7 +192,9 @@ def exp_divided_difference(nodes) -> float:
 
     Nodes are sorted; blocks spanning more than 1e-4 use the forward
     recursion, tighter blocks the shifted series, so clustered and exactly
-    repeated nodes are handled without cancellation.
+    repeated nodes are handled without cancellation.  A tight block is
+    evaluated only when a wider one reads it, so a fully clustered node set
+    costs one series.
     """
     xs = sorted(float(x) for x in nodes)
     if not xs:
@@ -193,18 +202,23 @@ def exp_divided_difference(nodes) -> float:
     if any(not math.isfinite(x) for x in xs):
         raise ValueError("nodes must be finite")
     k = len(xs)
-    # table[i][j] holds exp[xs[i..j]]
-    table = [[0.0] * k for _ in range(k)]
+    if k > 1 and xs[-1] - xs[0] <= _SERIES_SPAN:
+        return _series_block(xs)
+    # table[i][j] holds exp[xs[i..j]]; None marks a tight block not read yet
+    table = [[None] * k for _ in range(k)]
     for i in range(k):
         table[i][i] = _safe_exp(xs[i])
     for span in range(1, k):
         for i in range(k - span):
             j = i + span
             gap = xs[j] - xs[i]
-            if gap <= _SERIES_SPAN:
-                table[i][j] = _series_block(xs[i : j + 1])
-            else:
-                table[i][j] = (table[i + 1][j] - table[i][j - 1]) / gap
+            if gap > _SERIES_SPAN:
+                hi, lo = table[i + 1][j], table[i][j - 1]
+                if hi is None:
+                    hi = table[i + 1][j] = _series_block(xs[i + 1 : j + 1])
+                if lo is None:
+                    lo = table[i][j - 1] = _series_block(xs[i:j])
+                table[i][j] = (hi - lo) / gap
     return table[0][k - 1]
 
 

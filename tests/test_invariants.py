@@ -281,6 +281,24 @@ def test_report_makes_one_moment_pass(monkeypatch):
     assert calls == [0]
 
 
+def test_report_calls_b0_b1_exact_once_for_a_float_direction(monkeypatch):
+    """A float direction is its own exact value, so the report reuses the
+    b0/b1 of its moment pass; a 'p/q' direction needs both directions."""
+    calls = []
+
+    def counting(P, xi):
+        calls.append(xi)
+        return wr.b0_b1_exact(P, xi)
+
+    monkeypatch.setattr(inv, "b0_b1_exact", counting)
+    P = corpus.load_corpus("blowup_one")
+    inv.build_report(P, (0.3, -0.5))
+    assert len(calls) == 1
+    calls.clear()
+    inv.build_report(P, "1/3,-1/2".split(","))
+    assert len(calls) == 2
+
+
 def test_report_h_and_gap_bitwise_equal_to_public_functions(polytopes):
     """The report, h_invariant and jensen_gap read one evaluation, so they
     agree to the bit for float and for 'p/q' directions alike."""

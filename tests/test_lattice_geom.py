@@ -7,7 +7,14 @@ Richardson extrapolation of those counts, and the boundary measure from
 the second coefficient of the count polynomial.
 """
 
+import itertools
 import json
+import math
+import os
+import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +23,7 @@ import pytest
 import hstab.lattice_geom as lg
 from hstab import corpus
 from hstab.errors import DegeneratePolytope, NonRationalInput, ParseError
-from hstab.simplex_calculus import AffineForm
+from hstab.simplex_calculus import AffineForm, _det, _dot
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +60,39 @@ def count_extrapolated_volume(P, ms=(16, 32, 64)):
     c = [len(lg.lattice_points(P, m)) / m**n for m in ms]
     # with c(m) = vol + a/m + O(1/m^2): vol ~ 2 c(2m) - c(m)
     return 2 * c[-1] - c[-2]
+
+
+def scan_hull_facets(points, d):
+    """Exhaustive oracle for lattice_geom._hull_facets: every d-subset of
+    the points spans a candidate hyperplane (cofactor normal of its edge
+    matrix), kept when all points lie on one side.  C(N, d) exact sidings;
+    same return shape, {(primitive normal, offset): incident point ids}."""
+    facets = {}
+    for subset in itertools.combinations(range(len(points)), d):
+        base = points[subset[0]]
+        edges = [[a - b for a, b in zip(points[i], base)] for i in subset[1:]]
+        normal = [
+            (-1) ** j * _det([row[:j] + row[j + 1 :] for row in edges])
+            for j in range(d)
+        ]
+        if not any(normal):
+            continue
+        c = _dot(normal, base)
+        sides = [_dot(normal, p) - c for p in points]
+        if all(s <= 0 for s in sides):
+            pass
+        elif all(s >= 0 for s in sides):
+            normal, c, sides = [-v for v in normal], -c, [-s for s in sides]
+        else:
+            continue
+        den = 1
+        for v in normal:
+            den = den * v.denominator // math.gcd(den, v.denominator)
+        ints = [int(v * den) for v in normal]
+        g = math.gcd(*ints)
+        key = (tuple(v // g for v in ints), c * den / g)
+        facets.setdefault(key, tuple(i for i, s in enumerate(sides) if s == 0))
+    return facets
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +171,110 @@ def test_rational_string_coordinates():
     P = lg.build_polytope([("-1/2",), ("3/2",)])
     assert P.vertices == ((Fraction(-1, 2),), (Fraction(3, 2),))
     assert not P.is_lattice()
+
+
+# the 4-D products the benchmark builds from corpus vertex sets
+PRODUCTS = (
+    ("square", "square"),
+    ("triangle", "triangle_dual"),
+    ("blowup_one", "square"),
+    ("blowup_one", "blowup_two"),
+    ("interval", "cube"),
+)
+
+
+def product_points(P, Q):
+    return sorted(set(u + w for u in P.vertices for w in Q.vertices))
+
+
+def test_hull_matches_scan_on_corpus(polytopes):
+    for name, P in polytopes.items():
+        pts = list(P.vertices)
+        assert lg._hull_facets(pts, P.dim) == scan_hull_facets(pts, P.dim), name
+
+
+@pytest.mark.parametrize("a,b", PRODUCTS)
+def test_hull_matches_scan_on_products(polytopes, a, b):
+    pts = product_points(polytopes[a], polytopes[b])
+    assert lg._hull_facets(pts, 4) == scan_hull_facets(pts, 4)
+
+
+def random_point_set(rng, d, rational):
+    """Random full-dimensional points plus a segment midpoint, a triangle
+    centroid, the centroid of all, and three collinear points on a face of
+    the bounding box (so on the hull's boundary); integer or rational."""
+    def coord():
+        den = rng.choice((1, 2, 3)) if rational else 1
+        return Fraction(rng.randint(-4, 4), den)
+
+    while True:
+        pts = [tuple(coord() for _ in range(d)) for _ in range(rng.randint(d + 1, 9))]
+        if lg._rank([lg._sub(p, pts[0]) for p in pts[1:]]) == d:
+            break
+    a, b, c = pts[0], pts[1], pts[-1]
+    pts += [tuple((x + y) / 2 for x, y in zip(a, b))]  # on a segment
+    pts += [tuple((x + y + z) / 3 for x, y, z in zip(a, b, c))]  # in a triangle
+    centroid = tuple(sum(col) / len(pts) for col in zip(*pts))
+    pts.append(centroid)
+    lo = [min(p[j] for p in pts) for j in range(d)]
+    hi = [max(p[j] for p in pts) for j in range(d)]
+    for t in range(3):
+        pts.append(tuple([hi[0]] + [lo[j] + (hi[j] - lo[j]) * t / 2 for j in range(1, d)]))
+    rng.shuffle(pts)
+    return sorted(set(pts))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("rational", [False, True])
+def test_hull_matches_scan_on_random_point_sets(d, rational):
+    rng = random.Random(1000 * d + rational)
+    for _ in range(10 if d < 3 else 3):
+        pts = random_point_set(rng, d, rational)
+        assert lg._hull_facets(pts, d) == scan_hull_facets(pts, d), pts
+
+
+def test_hexagon_product_facets(polytopes):
+    """Facets of P x Q are {F x Q} and {P x G}: 6 + 6 for the hexagon
+    squared, and hexagon x hexagon builds within the 1 s budget."""
+    H = polytopes["hexagon"]
+    t0 = time.perf_counter()
+    HH = lg.build_polytope(product_points(H, H))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, elapsed
+    zero = (0,) * H.dim
+    expected = {(f.normal + zero, f.offset) for f in H.facets}
+    expected |= {(zero + f.normal, f.offset) for f in H.facets}
+    assert {(f.normal, f.offset) for f in HH.facets} == expected
+    assert HH.n_facets == 12 and HH.n_vertices == 36
+    for f in HH.facets:
+        on = {HH.vertices[i] for i in f.vertex_ids}
+        assert len(on) == 12  # a hexagon edge times a hexagon
+        assert on == {v for v in HH.vertices if _dot(f.normal, v) == f.offset}
+
+
+def test_primitive_outward_rejects_zero_normal_under_python_O():
+    """An explicit raise, not an assert, so it holds under python -O,
+    which strips assert statements."""
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from hstab.lattice_geom import _primitive_outward\n"
+        "try:\n"
+        "    _primitive_outward((0, 0), Fraction(1))\n"
+        "except ValueError as exc:\n"
+        "    print('raised', exc, sys.flags.optimize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(lg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised zero normal cannot be primitivized 1"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ simplices are cross-checked with scipy adaptive quadrature.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import hstab.simplex_calculus as sc
 from hstab.errors import DegenerateSimplex
 from hstab.simplex_calculus import (
     AffineForm,
@@ -110,6 +112,97 @@ def test_dd_permutation_invariant_exactly():
         perm = list(nodes)
         rng.shuffle(perm)
         assert exp_divided_difference(perm) == base
+
+
+def full_table_series(nodes):
+    """The shifted series with all 60 degrees of h_k accumulated node by
+    node, as the engine did before it built them one degree at a time."""
+    r = len(nodes) - 1
+    mu = math.fsum(nodes) / len(nodes)
+    hs = [1.0] + [0.0] * 60
+    for y in [x - mu for x in nodes]:
+        for k in range(1, 61):
+            hs[k] += y * hs[k - 1]
+    total = 0.0
+    for k in range(61):
+        term = hs[k] / math.factorial(r + k)
+        total += term
+        if k >= 2 and abs(term) < 1e-16:
+            break
+    return sc._safe_exp(mu) * total
+
+
+def full_table_dd(nodes):
+    """Bit-level reference for exp_divided_difference: the full k x k table
+    with the series in every entry spanning <= 1e-4."""
+    xs = sorted(float(x) for x in nodes)
+    k = len(xs)
+    table = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        table[i][i] = sc._safe_exp(xs[i])
+    for span in range(1, k):
+        for i in range(k - span):
+            j = i + span
+            gap = xs[j] - xs[i]
+            if gap <= 1e-4:
+                table[i][j] = full_table_series(xs[i : j + 1])
+            else:
+                table[i][j] = (table[i + 1][j] - table[i][j - 1]) / gap
+    return table[0][k - 1]
+
+
+def seeded_node_sets(seed, count=400):
+    """Node sets of every kind the engine meets: all equal, clustered with
+    spans 1e-12..1e-4, spread, mixed, and base nodes with one or two of
+    them repeated at the end, as exp_moments builds them."""
+    rng = random.Random(seed)
+    for t in range(count):
+        kind = t % 5
+        k = rng.randint(1, 8)
+        c = rng.uniform(-6.0, 6.0)
+        if kind == 0:
+            yield [c] * k
+        elif kind == 1:
+            span = 10 ** rng.uniform(-12, -4)
+            yield [c + rng.uniform(0.0, span) for _ in range(k)]
+        elif kind == 2:
+            yield [rng.uniform(-30.0, 30.0) for _ in range(k)]
+        elif kind == 3:
+            span = 10 ** rng.uniform(-12, -3)
+            cluster = [c + rng.uniform(0.0, span) for _ in range(k)]
+            yield cluster + [rng.uniform(-8.0, 8.0) for _ in range(rng.randint(1, 3))]
+        else:
+            base = [rng.uniform(-4.0, 0.0) for _ in range(k)]
+            if rng.random() < 0.3:
+                base[1:] = [base[0] + rng.uniform(0.0, 1e-5) for _ in base[1:]]
+            yield base + [rng.choice(base) for _ in range(rng.randint(1, 2))]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_dd_bitwise_equal_to_full_table(seed):
+    for nodes in seeded_node_sets(seed):
+        got = exp_divided_difference(nodes)
+        assert got.hex() == full_table_dd(nodes).hex(), nodes
+        # the series alone too, where spread nodes make every degree count
+        got = sc._series_block(sorted(nodes))
+        assert got.hex() == full_table_series(sorted(nodes)).hex(), nodes
+
+
+def test_dd_coincident_nodes_run_one_series(monkeypatch):
+    """k equal nodes are one clustered block: the series runs once, where
+    the full table ran it for all k(k-1)/2 off-diagonal entries."""
+    calls = []
+    series = sc._series_block
+
+    def counting(nodes):
+        calls.append(len(nodes))
+        return series(nodes)
+
+    monkeypatch.setattr(sc, "_series_block", counting)
+    for k in range(2, 9):
+        calls.clear()
+        exp_divided_difference([0.25] * k)
+        assert calls == [k]
 
 
 def test_dd_total_on_finite_input():
