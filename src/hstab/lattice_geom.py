@@ -7,6 +7,11 @@ lattice-normalized boundary measures, and the dilation point counts
 ``|mP /\\ Z^n|``, over ``fractions.Fraction`` and Python ints.  Floats
 enter only when a caller converts the exact answers.
 
+The hull's facet incidence sets are the one source of face structure:
+vertices are the points where the facets through them meet alone, and
+the triangulation reads every lower face as an intersection of those
+sets.
+
 Conventions:
   * A polytope is stored by its lex-sorted vertex matrix together with its
     facets.  Facet normals are primitive integer vectors ``v`` pointing
@@ -98,32 +103,6 @@ def _rank(rows: Iterable[Sequence[Fraction]]) -> int:
         if rank == len(a):
             break
     return rank
-
-
-def _solve_exact(cols: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve sum_j lam_j * cols[j] = rhs for a consistent full-column-rank
-    system; returns the unique lam as a tuple of Fractions."""
-    m, k = len(rhs), len(cols)
-    a = [[cols[j][i] for j in range(k)] + [rhs[i]] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if piv is None:
-            raise DegeneratePolytope("chart basis is rank deficient")
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [vr - f * vc for vr, vc in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, m):
-        if a[r][k] != 0:
-            raise DegeneratePolytope("point lies outside the chart flat")
-    return tuple(a[i][k] for i in range(k))
 
 
 def _sub(p: Point, q: Point) -> Point:
@@ -264,15 +243,6 @@ class LatticePolytope:
     def n_facets(self) -> int:
         return len(self.facets)
 
-    def facet_points(self, facet: Facet):
-        return tuple(self.vertices[i] for i in facet.vertex_ids)
-
-    def contains(self, point, strict: bool = False) -> bool:
-        p = as_rational_point(point)
-        if strict:
-            return all(_dot(f.normal, p) < f.offset for f in self.facets)
-        return all(_dot(f.normal, p) <= f.offset for f in self.facets)
-
     def is_lattice(self) -> bool:
         return all(c.denominator == 1 for v in self.vertices for c in v)
 
@@ -293,18 +263,17 @@ def build_polytope(points, name: str = "") -> LatticePolytope:
     if any(len(p) != n for p in pts):
         raise ValueError("input points have inconsistent dimensions")
     pts = sorted(set(pts))
-    if _rank([_sub(p, pts[0]) for p in pts[1:]]) < n:
-        raise DegeneratePolytope(
-            f"points span an affine subspace of dimension < {n}"
-        )
     raw_facets = _hull_facets(pts, n)
 
-    # a point is a vertex iff its active facet normals span R^n
-    active = {i: [] for i in range(len(pts))}
-    for (normal, _), inc in raw_facets.items():
-        for i in inc:
-            active[i].append(tuple(Fraction(v) for v in normal))
-    vertex_ids = [i for i in range(len(pts)) if _rank(active[i]) == n]
+    # a point is a vertex iff the facets through it meet in it alone; an
+    # interior point lies on none, so its intersection stays everything
+    incidences = [set(inc) for inc in raw_facets.values()]
+    everything = set(range(len(pts)))
+    vertex_ids = [
+        i
+        for i in range(len(pts))
+        if everything.intersection(*(s for s in incidences if i in s)) == {i}
+    ]
     vertices = tuple(pts[i] for i in vertex_ids)  # pts sorted, so still lex
     reindex = {old: new for new, old in enumerate(vertex_ids)}
 
@@ -376,39 +345,22 @@ class SimplicialDecomposition:
         return {fid: tuple(parts) for fid, parts in out.items()}
 
 
-def _fan_face(points: Sequence[Point], d: int):
-    """Triangulate the d-dimensional face conv(points) (living in some
-    affine d-flat of R^n) by fanning from its lex-smallest vertex.
-    Returns lex-sorted tuples of d+1 original points."""
-    points = sorted(points)
-    if d == 0:
-        if len(points) != 1:
-            raise ValueError("a 0-dimensional face has exactly one point")
-        return [tuple(points)]
-    if len(points) == d + 1:
-        return [tuple(points)]
-    apex = points[0]
-
-    # chart: exact affine coordinates on the flat spanned by the face
-    base = points[0]
-    basis = []
-    for p in points[1:]:
-        e = _sub(p, base)
-        if _rank(basis + [e]) > len(basis):
-            basis.append(e)
-        if len(basis) == d:
-            break
-    if len(basis) != d:
-        raise DegeneratePolytope("face does not span a d-flat")
-    coords = [_solve_exact(basis, _sub(p, base)) for p in points]
-
+def _fan_face(face: frozenset, facets: Sequence[frozenset], d: int):
+    """Triangulate the d-dimensional face with vertex ids ``face`` by
+    fanning from its smallest id, the lex-smallest vertex.  Faces are read
+    off the facet incidence sets alone: the facets of ``face`` are the
+    inclusion-maximal nonempty sets ``face & G`` over the polytope's facets
+    G not containing it.  Returns sorted tuples of d + 1 vertex ids."""
+    if len(face) == d + 1:
+        return [tuple(sorted(face))]
+    apex = min(face)
+    cuts = {face & G for G in facets} - {face, frozenset()}
     simplices = []
-    for inc in _hull_facets(coords, d).values():
-        face_pts = [points[i] for i in inc]
-        if apex in face_pts:
+    for sub in cuts:
+        if apex in sub or any(sub < other for other in cuts):
             continue
-        for sub in _fan_face(face_pts, d - 1):
-            simplices.append(tuple(sorted(sub + (apex,))))
+        for tri in _fan_face(sub, facets, d - 1):
+            simplices.append((apex,) + tri)
     return sorted(simplices)
 
 
@@ -435,10 +387,12 @@ def _triangulate_cached(P: LatticePolytope, base: Optional[tuple]):
     if not all(_dot(f.normal, base) < f.offset for f in P.facets):
         raise ValueError(f"triangulation base {base} is not strictly interior")
 
+    facet_sets = [frozenset(f.vertex_ids) for f in P.facets]
     simplices = []
     pieces = []
     for fid, facet in enumerate(P.facets):
-        for tri in _fan_face(P.facet_points(facet), n - 1):
+        for ids in _fan_face(facet_sets[fid], facet_sets, n - 1):
+            tri = tuple(P.vertices[i] for i in ids)
             pieces.append(
                 FacetPiece(
                     facet_id=fid,
@@ -460,7 +414,8 @@ def triangulate(
     The base point is the origin when strictly interior, else the vertex
     centroid; an explicit rational interior ``base`` may be supplied to get
     a different (still deterministic) decomposition.  Facet triangulations
-    fan from the lex-smallest vertex of each face, recursively.
+    fan from the lex-smallest vertex of each face, recursively, where each
+    lower face is read as an intersection of facet incidence sets.
     """
     if base is not None:
         base = as_rational_point(base)

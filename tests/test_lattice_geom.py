@@ -23,7 +23,7 @@ import pytest
 import hstab.lattice_geom as lg
 from hstab import corpus
 from hstab.errors import DegeneratePolytope, NonRationalInput, ParseError
-from hstab.simplex_calculus import AffineForm, _det, _dot
+from hstab.simplex_calculus import AffineForm, Simplex, _det, _dot
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,78 @@ def scan_hull_facets(points, d):
         key = (tuple(v // g for v in ints), c * den / g)
         facets.setdefault(key, tuple(i for i, s in enumerate(sides) if s == 0))
     return facets
+
+
+def solve_exact(cols, rhs):
+    """Solve sum_j lam_j * cols[j] = rhs for a consistent full-column-rank
+    system; returns the unique lam as a tuple of Fractions."""
+    m, k = len(rhs), len(cols)
+    a = [[cols[j][i] for j in range(k)] + [rhs[i]] for i in range(m)]
+    row = 0
+    for col in range(k):
+        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
+        if piv is None:
+            raise DegeneratePolytope("chart basis is rank deficient")
+        a[row], a[piv] = a[piv], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [v * inv for v in a[row]]
+        for r in range(m):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [vr - f * vc for vr, vc in zip(a[r], a[row])]
+        row += 1
+    for r in range(row, m):
+        if a[r][k] != 0:
+            raise DegeneratePolytope("point lies outside the chart flat")
+    return tuple(a[i][k] for i in range(k))
+
+
+def chart_fan_face(points, d):
+    """Oracle for lattice_geom._fan_face from coordinates alone: put exact
+    affine coordinates on the d-flat of the face, take a fresh hull there,
+    and fan from the lex-smallest point over the facets missing it.
+    Returns lex-sorted tuples of d + 1 points."""
+    points = sorted(points)
+    if d == 0:
+        if len(points) != 1:
+            raise ValueError("a 0-dimensional face has exactly one point")
+        return [tuple(points)]
+    if len(points) == d + 1:
+        return [tuple(points)]
+    apex = base = points[0]
+    basis = []
+    for p in points[1:]:
+        e = lg._sub(p, base)
+        if lg._rank(basis + [e]) > len(basis):
+            basis.append(e)
+        if len(basis) == d:
+            break
+    if len(basis) != d:
+        raise DegeneratePolytope("face does not span a d-flat")
+    coords = [solve_exact(basis, lg._sub(p, base)) for p in points]
+    simplices = []
+    for inc in lg._hull_facets(coords, d).values():
+        face_pts = [points[i] for i in inc]
+        if apex in face_pts:
+            continue
+        for sub in chart_fan_face(face_pts, d - 1):
+            simplices.append(tuple(sorted(sub + (apex,))))
+    return sorted(simplices)
+
+
+def chart_triangulation(P, base):
+    """The star triangulation of P over base that lattice_geom.triangulate
+    must return, with every facet fanned by chart_fan_face."""
+    pieces = tuple(
+        lg.FacetPiece(fid, tri, lg._facet_measure(tri, f.normal))
+        for fid, f in enumerate(P.facets)
+        for tri in chart_fan_face([P.vertices[i] for i in f.vertex_ids], P.dim - 1)
+    )
+    return lg.SimplicialDecomposition(
+        base=base,
+        simplices=tuple(Simplex(vertices=(base,) + p.vertices) for p in pieces),
+        facet_pieces=pieces,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +299,67 @@ def random_point_set(rng, d, rational):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("rational", [False, True])
 def test_hull_matches_scan_on_random_point_sets(d, rational):
+    """The hull against the scan; the vertices, found by intersecting
+    facet incidence sets, against the rank rule (a point is a vertex iff
+    the normals of its facets span R^d); the triangulation against the
+    chart oracle."""
     rng = random.Random(1000 * d + rational)
     for _ in range(10 if d < 3 else 3):
         pts = random_point_set(rng, d, rational)
-        assert lg._hull_facets(pts, d) == scan_hull_facets(pts, d), pts
+        facets = lg._hull_facets(pts, d)
+        assert facets == scan_hull_facets(pts, d), pts
+        normals = [[Fraction(v) for v in normal] for normal, _ in facets]
+        rank_rule = tuple(
+            p
+            for i, p in enumerate(pts)
+            if lg._rank([v for v, inc in zip(normals, facets.values()) if i in inc]) == d
+        )
+        P = lg.build_polytope(pts)
+        assert P.vertices == rank_rule, pts
+        dec = lg.triangulate(P)
+        assert dec == chart_triangulation(P, dec.base), pts
+
+
+def test_triangulation_matches_chart_oracle_on_corpus(polytopes):
+    for name, P in polytopes.items():
+        dec = lg.triangulate(P)
+        assert dec == chart_triangulation(P, dec.base), name
+
+
+# 4-, 5- and 6-dimensional products past the benchmark's.  The octahedron
+# is not simple: two of its triangles can share one vertex v, so in the
+# product with a square two facets meet in {v} x square, a face of
+# dimension 2 inside a facet of dimension 4, which the fan must skip.
+LARGER_PRODUCTS = (
+    ("hexagon", "hexagon"),
+    ("cube", "hexagon"),
+    ("cube", "cube"),
+    ("octahedron", "square"),
+)
+OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+
+@pytest.mark.parametrize("a,b", PRODUCTS + LARGER_PRODUCTS)
+def test_triangulation_matches_chart_oracle_on_products(polytopes, a, b):
+    factors = {**polytopes, "octahedron": lg.build_polytope(OCTAHEDRON)}
+    P = lg.build_polytope(product_points(factors[a], factors[b]))
+    dec = lg.triangulate(P)
+    assert dec == chart_triangulation(P, dec.base)
+
+
+def test_triangulate_computes_no_hull(polytopes, monkeypatch):
+    """Faces are intersections of the facet incidence sets, so
+    triangulating cube x cube (6-D) takes no further hull; the chart
+    oracle takes 1032."""
+    P = lg.build_polytope(product_points(polytopes["cube"], polytopes["cube"]))
+    calls = []
+    hull = lg._hull_facets
+    monkeypatch.setattr(
+        lg, "_hull_facets", lambda *args: calls.append(args) or hull(*args)
+    )
+    lg._triangulate_cached.cache_clear()
+    assert lg.triangulate(P).n_simplices == 1440
+    assert len(calls) == 0
 
 
 def test_hexagon_product_facets(polytopes):
