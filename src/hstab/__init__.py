@@ -24,6 +24,7 @@ from .lattice_geom import (
     interior_integral,
     is_reflexive,
     lattice_points,
+    lattice_stats,
     load_polytope,
     normalized_volume,
     translate,

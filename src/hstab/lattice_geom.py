@@ -12,6 +12,15 @@ vertices are the points where the facets through them meet alone, and
 the triangulation reads every lower face as an intersection of those
 sets.
 
+The lattice points of mP are read as rows: for each prefix
+(x_1, ..., x_{n-1}) the last coordinate runs over one integer interval cut
+from the facet inequalities.  ``lattice_points`` expands the rows, already
+in lex order, and ``lattice_stats`` sums them (count, moment vector,
+largest squared norm) without ever building a point.
+
+Derived data (triangulation, volume, moment vectors) is memoized on the
+polytope itself, so it lives exactly as long as the polytope does.
+
 Conventions:
   * A polytope is stored by its lex-sorted vertex matrix together with its
     facets.  Facet normals are primitive integer vectors ``v`` pointing
@@ -30,10 +39,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +50,8 @@ from .errors import DegeneratePolytope, NonRationalInput, ParseError
 from .simplex_calculus import (
     AffineForm,
     Simplex,
-    _det,
     _dot,
+    _int_det,
     integral_linear_simplex,
 )
 
@@ -105,10 +114,6 @@ def _rank(rows: Iterable[Sequence[Fraction]]) -> int:
     return rank
 
 
-def _sub(p: Point, q: Point) -> Point:
-    return tuple(a - b for a, b in zip(p, q))
-
-
 def _primitive_outward(normal: Sequence[int], offset):
     """Divide an integer (normal, offset) pair by the gcd of the normal so
     the normal becomes primitive; orientation is preserved."""
@@ -127,8 +132,7 @@ def _kernel_vector(rows: Sequence[Sequence[int]]) -> list:
     signed k x k minors (a generalized cross product); zero when the rows
     are dependent."""
     return [
-        (-1) ** j
-        * int(_det([[Fraction(x) for x in r[:j] + r[j + 1 :]] for r in rows]))
+        (-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows])
         for j in range(len(rows) + 1)
     ]
 
@@ -228,12 +232,18 @@ class Facet:
 
 @dataclass(frozen=True)
 class LatticePolytope:
-    """Full-dimensional rational polytope with exact facet data."""
+    """Full-dimensional rational polytope with exact facet data.
+
+    ``_memo`` holds data derived from the polytope (see ``_memoized``); it
+    takes no part in equality, hashing or the repr."""
 
     dim: int
     vertices: tuple  # lex-sorted tuple of Fraction points
     facets: tuple  # tuple of Facet, sorted by (normal, offset)
     name: str = ""
+    _memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_vertices(self) -> int:
@@ -366,15 +376,35 @@ def _fan_face(face: frozenset, facets: Sequence[frozenset], d: int):
 
 def _facet_measure(piece: Sequence[Point], normal) -> Fraction:
     """Lattice-normalized measure of an (n-1)-simplex lying in a facet with
-    primitive integer normal v:  |det(edges, v)| / ((n-1)! * <v, v>)."""
+    primitive integer normal v:  |det(edges, v)| / ((n-1)! * <v, v>).
+    The vertices are scaled by their common denominator D, so the edge rows
+    are integers and det(D * edges, v) = D^(n-1) det(edges, v)."""
     n = len(normal)
-    rows = [_sub(p, piece[0]) for p in piece[1:]]
-    rows.append(tuple(Fraction(v) for v in normal))
-    return abs(_det(rows)) / (math.factorial(n - 1) * _dot(normal, normal))
+    den = math.lcm(*(x.denominator for p in piece for x in p))
+    scaled = [[x.numerator * (den // x.denominator) for x in p] for p in piece]
+    rows = [[a - b for a, b in zip(p, scaled[0])] for p in scaled[1:]]
+    rows.append(list(normal))
+    return Fraction(
+        abs(_int_det(rows)),
+        den ** (n - 1) * math.factorial(n - 1) * sum(v * v for v in normal),
+    )
 
 
-@functools.lru_cache(maxsize=64)
-def _triangulate_cached(P: LatticePolytope, base: Optional[tuple]):
+def _memoized(fn):
+    """Compute fn(P) once per polytope and keep it in P's own memo, so it
+    lives exactly as long as P and a lookup hashes nothing of P."""
+
+    @functools.wraps(fn)
+    def memoized(P: LatticePolytope):
+        memo = P._memo
+        if fn.__name__ not in memo:
+            memo[fn.__name__] = fn(P)
+        return memo[fn.__name__]
+
+    return memoized
+
+
+def _star_triangulation(P: LatticePolytope, base) -> SimplicialDecomposition:
     n = P.dim
     if base is None:
         if all(f.offset > 0 for f in P.facets):
@@ -406,6 +436,11 @@ def _triangulate_cached(P: LatticePolytope, base: Optional[tuple]):
     )
 
 
+@_memoized
+def _default_triangulation(P: LatticePolytope) -> SimplicialDecomposition:
+    return _star_triangulation(P, None)
+
+
 def triangulate(
     P: LatticePolytope, base=None
 ) -> SimplicialDecomposition:
@@ -415,16 +450,19 @@ def triangulate(
     centroid; an explicit rational interior ``base`` may be supplied to get
     a different (still deterministic) decomposition.  Facet triangulations
     fan from the lex-smallest vertex of each face, recursively, where each
-    lower face is read as an intersection of facet incidence sets.
+    lower face is read as an intersection of facet incidence sets.  The
+    default decomposition is memoized on P; an explicit base is computed
+    afresh.
     """
-    if base is not None:
-        base = as_rational_point(base)
-        if len(base) != P.dim:
-            raise ValueError("base point has wrong dimension")
-    return _triangulate_cached(P, base)
+    if base is None:
+        return _default_triangulation(P)
+    base = as_rational_point(base)
+    if len(base) != P.dim:
+        raise ValueError("base point has wrong dimension")
+    return _star_triangulation(P, base)
 
 
-@functools.lru_cache(maxsize=256)
+@_memoized
 def volume(P: LatticePolytope) -> Fraction:
     """Euclidean volume of P, exact, as the sum over the star triangulation."""
     return sum((s.volume() for s in triangulate(P).simplices), Fraction(0))
@@ -460,7 +498,7 @@ def interior_integral(P: LatticePolytope, form: AffineForm) -> Fraction:
     )
 
 
-@functools.lru_cache(maxsize=256)
+@_memoized
 def moment_vector(P: LatticePolytope) -> tuple:
     """(int_P x_i dx)_i as exact Fractions."""
     return tuple(
@@ -469,7 +507,7 @@ def moment_vector(P: LatticePolytope) -> tuple:
     )
 
 
-@functools.lru_cache(maxsize=256)
+@_memoized
 def boundary_moment_vector(P: LatticePolytope) -> tuple:
     """(int_{dP} x_i dsigma)_i as exact Fractions."""
     return tuple(
@@ -487,66 +525,93 @@ def barycenter(P: LatticePolytope) -> tuple:
 # lattice point enumeration
 
 
-def _box_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+def _lattice_rows(P: LatticePolytope, m: int):
+    """Integer points of mP as rows ``(prefixes, lo, hi)``: for each prefix
+    (x_1, ..., x_{n-1}) with a point above it, the last coordinate runs over
+    lo..hi.  Prefixes come in lex order, so the rows expand to lex-sorted
+    points.
 
-
-def lattice_points(P: LatticePolytope, m: int = 1) -> np.ndarray:
-    """Integer points of the dilation mP as an (N, n) int64 array in
-    lexicographic row order.
-
-    Membership tests are exact: with facet offset c = p/q the condition
-    <v_F, alpha> <= m * c is evaluated as q * <v_F, alpha> <= m * p in
-    integers.
+    Membership is exact: with facet offset c = p/q the condition
+    <v, alpha> <= m * c reads q * v_n * x_n <= m * p - q * <v', x'> in
+    integers, which bounds x_n above when v_n > 0, below when v_n < 0, and
+    keeps or drops the whole prefix when v_n = 0.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"dilation factor must be a positive integer, got {m!r}")
     n = P.dim
-    lo = np.array(
-        [int(-((-m * min(v[i] for v in P.vertices)) // 1)) for i in range(n)],
-        dtype=np.int64,
-    )
-    hi = np.array(
-        [int((m * max(v[i] for v in P.vertices)) // 1) for i in range(n)],
-        dtype=np.int64,
-    )
-    if np.any(hi < lo):
-        return np.zeros((0, n), dtype=np.int64)
-
+    lo = [-((-m * min(v[i] for v in P.vertices)) // 1) for i in range(n)]
+    hi = [(m * max(v[i] for v in P.vertices)) // 1 for i in range(n)]
     normals = np.array([f.normal for f in P.facets], dtype=np.int64)
     qs = np.array([f.offset.denominator for f in P.facets], dtype=np.int64)
     ps = np.array([f.offset.numerator for f in P.facets], dtype=np.int64)
     bound = (
         int(np.abs(normals).sum(axis=1).max())
-        * int(np.abs(np.concatenate([lo, hi])).max() or 1)
+        * (max(map(abs, lo + hi)) or 1)
         * int(qs.max())
     )
     if bound >= 2**62:  # keep the int64 arithmetic exact
         raise ValueError("coefficients too large for exact int64 filtering")
-    rhs = m * ps
 
-    def filt(grid: np.ndarray) -> np.ndarray:
-        lhs = grid @ normals.T  # (N, F)
-        keep = np.all(lhs * qs[np.newaxis, :] <= rhs[np.newaxis, :], axis=1)
-        return grid[keep]
-
-    if n <= 2:
-        pts = filt(_box_grid(lo, hi))
+    if n > 1:
+        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+        mesh = np.meshgrid(*axes[:-1], indexing="ij")
+        prefixes = np.stack([a.reshape(-1) for a in mesh], axis=1)
     else:
-        # slab along the first axis to bound peak memory
-        tail = _box_grid(lo[1:], hi[1:])
-        slabs = []
-        for x0 in range(int(lo[0]), int(hi[0]) + 1):
-            grid = np.concatenate(
-                [np.full((tail.shape[0], 1), x0, dtype=np.int64), tail],
-                axis=1,
-            )
-            slabs.append(filt(grid))
-        pts = np.concatenate(slabs, axis=0)
-    order = np.lexsort(tuple(pts[:, j] for j in range(n - 1, -1, -1)))
-    return np.ascontiguousarray(pts[order])
+        prefixes = np.zeros((1, 0), dtype=np.int64)
+    rhs = m * ps - qs * (prefixes @ normals[:, :-1].T)  # (rows, facets)
+    coef = qs * normals[:, -1]
+    row_lo = np.full(prefixes.shape[0], lo[-1], dtype=np.int64)
+    row_hi = np.full(prefixes.shape[0], hi[-1], dtype=np.int64)
+    up, down = coef > 0, coef < 0
+    if up.any():
+        row_hi = np.minimum(row_hi, (rhs[:, up] // coef[up]).min(axis=1))
+    if down.any():  # ceil(rhs / coef) for coef < 0
+        row_lo = np.maximum(row_lo, (-(rhs[:, down] // -coef[down])).max(axis=1))
+    keep = (row_lo <= row_hi) & np.all(rhs[:, coef == 0] >= 0, axis=1)
+    return prefixes[keep], row_lo[keep], row_hi[keep]
+
+
+def lattice_points(P: LatticePolytope, m: int = 1) -> np.ndarray:
+    """Integer points of the dilation mP as a C-contiguous (N, n) int64
+    array in lexicographic row order, expanded from ``_lattice_rows``."""
+    prefixes, lo, hi = _lattice_rows(P, m)
+    counts = hi - lo + 1
+    # each row's first point with its last coordinate moved back by the
+    # row's start index, so adding the point index completes every row
+    firsts = np.column_stack([prefixes, lo - (np.cumsum(counts) - counts)])
+    pts = np.repeat(firsts, counts, axis=0)
+    pts[:, -1] += np.arange(pts.shape[0])
+    return pts
+
+
+class LatticeStats(NamedTuple):
+    """Exact statistics of the integer points of mP."""
+
+    count: int  # N_m
+    moment: tuple  # sum of the points, as Python ints
+    max_norm_sq: int  # largest |alpha|^2; 0 when there is no point
+
+
+def lattice_stats(P: LatticePolytope, m: int = 1) -> LatticeStats:
+    """Count, moment vector and largest squared norm of the integer points
+    of mP, summed over ``_lattice_rows`` without building a point: a row
+    lo..hi over prefix x' holds hi - lo + 1 points, adds x' times that to
+    the first n - 1 coordinates and (lo + hi)(hi - lo + 1)/2 to the last.
+    """
+    prefixes, lo, hi = _lattice_rows(P, m)
+    biggest = max(int(np.abs(a).max(initial=0)) for a in (prefixes, lo, hi))
+    if (len(lo) + P.dim) * (2 * biggest + 1) * biggest >= 2**62:
+        # a sum could leave int64: finish in Python ints
+        prefixes, lo, hi = (a.astype(object) for a in (prefixes, lo, hi))
+    counts = hi - lo + 1
+    cols = [prefixes[:, i] * counts for i in range(P.dim - 1)]
+    cols.append((lo + hi) * counts // 2)
+    norms = (prefixes * prefixes).sum(axis=1) + np.maximum(lo * lo, hi * hi)
+    return LatticeStats(
+        count=int(counts.sum()),
+        moment=tuple(int(c.sum()) for c in cols),
+        max_norm_sq=int(norms.max()) if norms.size else 0,
+    )
 
 
 # ---------------------------------------------------------------------------

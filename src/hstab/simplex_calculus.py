@@ -58,27 +58,38 @@ def _dot(p, q):
     return sum((a * b for a, b in zip(p, q)), Fraction(0))
 
 
-def _det(rows) -> Fraction:
-    """Exact determinant by Gaussian elimination over Fraction; det([]) = 1."""
-    k = len(rows)
+def _int_det(rows) -> int:
+    """Exact determinant of a square integer matrix by Bareiss's
+    fraction-free elimination (every division is exact); det([]) = 1."""
     a = [list(r) for r in rows]
-    det = Fraction(1)
+    k = len(a)
+    sign, prev = 1, 1
     for col in range(k):
         piv = next((r for r in range(col, k) if a[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
+            sign = -sign
+        p = a[col][col]
         for r in range(col + 1, k):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            for c in range(col, k):
-                a[r][c] -= f * a[col][c]
-    return det
+            for c in range(col + 1, k):
+                a[r][c] = (a[r][c] * p - a[r][col] * a[col][c]) // prev
+        prev = p
+    return sign * prev
+
+
+def _det(rows) -> Fraction:
+    """Exact determinant of a square rational matrix: each row is scaled to
+    integers by the lcm of its denominators, so det is _int_det of the
+    scaled rows over the product of the scales; det([]) = 1."""
+    scaled, scale = [], 1
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return Fraction(_int_det(scaled), scale)
 
 
 @dataclass(frozen=True)

@@ -81,49 +81,53 @@ class WeightTable:
     """Weight table: per-degree integer weight rows with multiplicities,
     lex-sorted within each degree.
 
-    Invariants checked as each degree is ingested: rows non-empty,
-    multiplicities >= 1, and every weight satisfies |alpha|_2 <= C*m
-    where C^2 = ``weight_bound_sq`` (exact rational).  Tables built from
-    explicit blocks (external data) must cover every degree 1..m_max with
-    nondecreasing total dimension; tables built with an ``enumerator``
-    (toric) materialize degrees on first access, which keeps degree-128
-    3-D tables affordable.  Queries are pure: repeated access to a degree
-    returns the same arrays.
+    A table built from explicit blocks (external data) keeps its rows; it
+    must cover every degree 1..m_max with nondecreasing total dimension.
+    A toric table (built on a ``polytope``) keeps only each degree's count
+    N_m and exact moment vector, summed from the lattice rows of mP by
+    ``lattice_geom.lattice_stats``; its atoms are enumerated afresh on
+    every ``atoms``/``alphas``/``dims`` call and never kept, so repeated
+    calls return equal arrays but not the same objects, and memory holds
+    at most one degree's points at a time.
+
+    Invariants checked per degree: rows non-empty, multiplicities >= 1,
+    and every weight satisfies |alpha|_2 <= C*m where C^2 =
+    ``weight_bound_sq`` (exact rational); a toric degree takes its largest
+    |alpha|^2 from the rows, and every enumeration must match its count.
     """
 
     def __init__(self, dim, m_max, blocks, source, weight_bound_sq,
-                 enumerator=None):
+                 polytope=None):
         self.dim = int(dim)
         self.m_max = int(m_max)
         self.source = source
         self.weight_bound_sq = Fraction(weight_bound_sq)
-        self._enumerator = enumerator
+        self._polytope = polytope
         if self.dim < 1 or self.m_max < 1:
             raise ValueError("dim and m_max must be positive")
-        self._alphas = {}
-        self._dims = {}
-        self._moments = {}
-        if enumerator is None:
-            missing = [m for m in range(1, self.m_max + 1) if m not in blocks]
-            if missing:
-                raise EmptyDegree(
-                    f"table has no entries at degree m = {missing[0]}"
+        self._blocks = {}  # m -> (alphas, dims); external tables only
+        self._stats = {}  # m -> (N_m, moment vector)
+        if polytope is not None:
+            return
+        missing = [m for m in range(1, self.m_max + 1) if m not in blocks]
+        if missing:
+            raise EmptyDegree(f"table has no entries at degree m = {missing[0]}")
+        prev = 0
+        for m in range(1, self.m_max + 1):
+            self._blocks[m] = self._checked_block(m, *blocks[m])
+            n_m = int(np.sum(self._blocks[m][1]))
+            if n_m < prev:
+                raise ValueError(
+                    f"degree {m}: total dimension {n_m} is smaller "
+                    f"than at degree {m - 1} ({prev})"
                 )
-            prev = 0
-            for m in range(1, self.m_max + 1):
-                self._ingest(m, *blocks[m])
-                n_m = int(np.sum(self._dims[m]))
-                if n_m < prev:
-                    raise ValueError(
-                        f"degree {m}: total dimension {n_m} is smaller "
-                        f"than at degree {m - 1} ({prev})"
-                    )
-                prev = n_m
-        else:
-            for m, block in blocks.items():
-                self._ingest(m, *block)
+            prev = n_m
 
-    def _ingest(self, m, alphas, dims) -> None:
+    def _check_bound(self, m, norm_sq) -> None:
+        if Fraction(norm_sq) > self.weight_bound_sq * m * m:
+            raise ValueError(f"degree {m}: weight exceeds the bound |alpha| <= C*m")
+
+    def _checked_block(self, m, alphas, dims):
         alphas = np.ascontiguousarray(alphas, dtype=np.int64)
         dims = np.ascontiguousarray(dims, dtype=np.int64)
         if alphas.ndim != 2 or alphas.shape[1] != self.dim:
@@ -134,20 +138,22 @@ class WeightTable:
             raise ValueError(f"degree {m}: multiplicity column mismatch")
         if np.any(dims < 1):
             raise ValueError(f"degree {m}: multiplicities must be >= 1")
-        norm_sq = int(np.max(np.sum(alphas * alphas, axis=1)))
-        if Fraction(norm_sq) > self.weight_bound_sq * m * m:
-            raise ValueError(
-                f"degree {m}: weight exceeds the bound |alpha| <= C*m"
-            )
-        self._alphas[m] = alphas
-        self._dims[m] = dims
+        self._check_bound(m, int(np.max(np.sum(alphas * alphas, axis=1))))
+        return alphas, dims
 
-    def _block(self, m: int):
-        if m not in self._alphas:
-            # lazy toric path; N_m nondecreasing holds automatically
-            # because the dilates mP grow with m
-            self._ingest(m, *self._enumerator(m))
-        return self._alphas[m], self._dims[m]
+    def _degree_stats(self, m: int):
+        """(N_m, exact moment vector) of degree m, computed once."""
+        if m not in self._stats:
+            if self._polytope is None:
+                self._stats[m] = _block_stats(*self._blocks[m])
+            else:
+                # N_m is nondecreasing automatically: the dilates mP grow
+                st = lg.lattice_stats(self._polytope, m)
+                if st.count == 0:
+                    raise EmptyDegree(f"table has no entries at degree m = {m}")
+                self._check_bound(m, st.max_norm_sq)
+                self._stats[m] = (st.count, st.moment)
+        return self._stats[m]
 
     @property
     def weight_bound(self) -> float:
@@ -162,57 +168,63 @@ class WeightTable:
             )
         return int(m)
 
+    def atoms(self, m) -> tuple:
+        """(alphas, dims) at degree m; one enumeration on a toric table."""
+        m = self._check_degree(m)
+        if self._polytope is None:
+            return self._blocks[m]
+        count, _ = self._degree_stats(m)
+        alphas = lg.lattice_points(self._polytope, m)
+        if alphas.shape[0] != count:
+            raise ValueError(
+                f"degree {m}: enumerated {alphas.shape[0]} weights, "
+                f"the lattice rows count {count}"
+            )
+        return alphas, np.ones(count, dtype=np.int64)
+
     def alphas(self, m) -> np.ndarray:
-        return self._block(self._check_degree(m))[0]
+        return self.atoms(m)[0]
 
     def dims(self, m) -> np.ndarray:
-        return self._block(self._check_degree(m))[1]
+        return self.atoms(m)[1]
 
     def count(self, m) -> int:
         """N_m = total dimension of the degree-m piece."""
-        return int(np.sum(self.dims(m)))
+        return self._degree_stats(self._check_degree(m))[0]
 
     def moment(self, m) -> tuple:
         """Exact integer vector sum_alpha alpha * dim at degree m."""
-        m = self._check_degree(m)
-        if m not in self._moments:
-            alphas, dims = self._block(m)
-            bound = (
-                int(np.max(np.abs(alphas), initial=0))
-                * int(np.max(dims))
-                * alphas.shape[0]
-            )
-            if bound < 2**62:
-                vec = alphas.T @ dims
-                self._moments[m] = tuple(int(v) for v in vec)
-            else:  # exact fallback for extreme external tables
-                self._moments[m] = tuple(
-                    sum(int(a) * int(d) for a, d in zip(col, dims.tolist()))
-                    for col in alphas.T.tolist()
-                )
-        return self._moments[m]
+        return self._degree_stats(self._check_degree(m))[1]
+
+
+def _block_stats(alphas, dims):
+    """(N, exact sum of alpha * dim) of one block of explicit rows."""
+    biggest = int(np.max(np.abs(alphas), initial=0))
+    if biggest * int(np.max(dims)) * alphas.shape[0] < 2**62:
+        moment = tuple(int(v) for v in alphas.T @ dims)
+    else:  # exact fallback for extreme external tables
+        moment = tuple(
+            sum(int(a) * int(d) for a, d in zip(col, dims.tolist()))
+            for col in alphas.T.tolist()
+        )
+    return int(np.sum(dims)), moment
 
 
 def _toric_table_unchecked(P, m_max: int, source: Optional[str] = None) -> WeightTable:
-    """Toric enumeration without the reflexivity gate (used for translated
+    """Toric table without the reflexivity gate (used for translated
     polytopes in conjugation checks and for external table generation)."""
     if not isinstance(m_max, int) or m_max < 1:
         raise ValueError("m_max must be a positive integer")
     bound_sq = max(
         sum((c * c for c in v), Fraction(0)) for v in P.vertices
     )
-
-    def enumerate_degree(m: int):
-        pts = lg.lattice_points(P, m)
-        return pts, np.ones(pts.shape[0], dtype=np.int64)
-
     return WeightTable(
         dim=P.dim,
         m_max=m_max,
         blocks={},
         source=source or f"toric:{P.name or '<unnamed>'}",
         weight_bound_sq=bound_sq,
-        enumerator=enumerate_degree,
+        polytope=P,
     )
 
 
@@ -243,6 +255,91 @@ def _parse_int(field: str, what: str, line: int) -> int:
         raise ParseError(f"{what} {field!r} is not an integer", line=line) from exc
 
 
+# the only bytes a data row may hold for numpy to read the file in one pass
+_CSV_FAST_BYTES = b"0123456789,-\r\n"
+
+
+def _fast_blocks(path, dim: int):
+    """Per-degree (alphas, dims) blocks of a CSV read by numpy in one pass,
+    or None whenever the file is not plain: a header other than the
+    canonical one, any byte in the data beyond digits, '-', ',' and line
+    ends, a field numpy cannot read as an int64, a ragged row, m < 1,
+    dim < 1, a duplicate (m, alpha) or a missing degree.  Every field it
+    takes is one that int() takes to the same value, so the per-field
+    parser reads every file it refuses and names the offending line."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        body = fh.read()
+    canonical = ",".join(_csv_header(dim)).encode()
+    if head.rstrip(b"\r\n") != canonical or not body.strip(b"\r\n"):
+        return None
+    if body.translate(None, _CSV_FAST_BYTES) or body.count(b"\r") != body.count(b"\r\n"):
+        return None
+    del body  # numpy reads the file itself
+    try:
+        rows = np.loadtxt(
+            path, dtype=np.int64, delimiter=",", comments=None,
+            skiprows=1, ndmin=2, encoding="ascii",
+        )
+    except ValueError:
+        return None
+    if rows.shape[1] != dim + 2 or rows[:, 0].min() < 1 or rows[:, -1].min() < 1:
+        return None
+    rows = rows[np.lexsort(rows[:, dim::-1].T)]  # by m, then alpha lex
+    if np.any(np.all(rows[1:, : dim + 1] == rows[:-1, : dim + 1], axis=1)):
+        return None
+    cuts = np.flatnonzero(np.diff(rows[:, 0])) + 1
+    if len(cuts) != rows[-1, 0] - 1:  # degrees >= 1, so one is missing
+        return None
+    alphas = np.split(np.ascontiguousarray(rows[:, 1:-1]), cuts)
+    dims = np.split(np.ascontiguousarray(rows[:, -1]), cuts)
+    return dict(enumerate(zip(alphas, dims), start=1))
+
+
+def _parsed_blocks(reader, dim: int):
+    """Per-degree (alphas, dims) blocks from csv rows parsed field by
+    field, raising ParseError on the first bad line."""
+    by_degree = {}  # m -> {alpha: dim}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # ignore blank lines
+        if len(row) != dim + 2:
+            raise ParseError(
+                f"row has {len(row)} fields, expected {dim + 2}",
+                line=lineno,
+            )
+        m = _parse_int(row[0], "degree", lineno)
+        if m < 1:
+            raise ParseError(f"degree m = {m} must be >= 1", line=lineno)
+        alpha = tuple(
+            _parse_int(row[1 + i], "weight entry", lineno)
+            for i in range(dim)
+        )
+        d = _parse_int(row[-1], "multiplicity", lineno)
+        if d < 1:
+            raise ParseError(
+                f"multiplicity {d} must be >= 1", line=lineno
+            )
+        rows = by_degree.setdefault(m, {})
+        if alpha in rows:
+            raise ParseError(
+                f"duplicate row for m = {m}, alpha = {alpha}", line=lineno
+            )
+        rows[alpha] = d
+    if not by_degree:
+        raise ParseError("no data rows", line=2)
+    blocks = {}
+    for m in range(1, max(by_degree) + 1):
+        if m not in by_degree:
+            raise EmptyDegree(f"table has no entries at degree m = {m}")
+        entries = sorted(by_degree[m].items())
+        blocks[m] = (
+            np.array([a for a, _ in entries], dtype=np.int64),
+            np.array([d for _, d in entries], dtype=np.int64),
+        )
+    return blocks
+
+
 def load_weight_table(path) -> WeightTable:
     """Read a weight table from CSV "m,a1,...,an,dim".
 
@@ -250,7 +347,8 @@ def load_weight_table(path) -> WeightTable:
     ragged rows, non-integer weights, multiplicities < 1, or duplicate
     (m, alpha) rows; EmptyDegree when some degree in 1..max(m) has no
     rows.  Row order in the file is irrelevant; storage is canonical
-    (m, then alpha lex)."""
+    (m, then alpha lex).  A plain file is read by numpy in one pass; any
+    other goes field by field, so every error names its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -269,51 +367,17 @@ def load_weight_table(path) -> WeightTable:
                 line=1,
             )
         dim = len(header) - 2
-        by_degree = {}  # m -> {alpha: dim}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # ignore blank lines
-            if len(row) != dim + 2:
-                raise ParseError(
-                    f"row has {len(row)} fields, expected {dim + 2}",
-                    line=lineno,
-                )
-            m = _parse_int(row[0], "degree", lineno)
-            if m < 1:
-                raise ParseError(f"degree m = {m} must be >= 1", line=lineno)
-            alpha = tuple(
-                _parse_int(row[1 + i], "weight entry", lineno)
-                for i in range(dim)
-            )
-            d = _parse_int(row[-1], "multiplicity", lineno)
-            if d < 1:
-                raise ParseError(
-                    f"multiplicity {d} must be >= 1", line=lineno
-                )
-            rows = by_degree.setdefault(m, {})
-            if alpha in rows:
-                raise ParseError(
-                    f"duplicate row for m = {m}, alpha = {alpha}", line=lineno
-                )
-            rows[alpha] = d
-    if not by_degree:
-        raise ParseError("no data rows", line=2)
-    m_max = max(by_degree)
-    blocks = {}
+        blocks = _fast_blocks(path, dim)
+        if blocks is None:
+            blocks = _parsed_blocks(reader, dim)
     bound_sq = Fraction(0)
-    for m in range(1, m_max + 1):
-        if m not in by_degree:
-            raise EmptyDegree(f"table has no entries at degree m = {m}")
-        entries = sorted(by_degree[m].items())
-        alphas = np.array([a for a, _ in entries], dtype=np.int64)
-        dims = np.array([d for _, d in entries], dtype=np.int64)
-        blocks[m] = (alphas, dims)
+    for m, (alphas, _) in blocks.items():
         worst = int(np.max(np.sum(alphas * alphas, axis=1)))
         bound_sq = max(bound_sq, Fraction(worst, m * m))
     try:
         return WeightTable(
             dim=dim,
-            m_max=m_max,
+            m_max=len(blocks),
             blocks=blocks,
             source=f"external:{path}",
             weight_bound_sq=bound_sq,
@@ -329,7 +393,8 @@ def save_weight_table(T: WeightTable, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_csv_header(T.dim))
         for m in range(1, T.m_max + 1):
-            for alpha, d in zip(T.alphas(m).tolist(), T.dims(m).tolist()):
+            alphas, dims = T.atoms(m)
+            for alpha, d in zip(alphas.tolist(), dims.tolist()):
                 writer.writerow([m] + alpha + [d])
 
 
@@ -352,17 +417,52 @@ def total_weight(T: WeightTable, xi, m):
     return sum((mi * ci for mi, ci in zip(moment, xe)), Fraction(0))
 
 
+def _fsum(terms: np.ndarray) -> float:
+    """math.fsum(terms), the correctly rounded sum, computed in integers.
+
+    A finite double is a 53-bit integer mantissa times a power of two.
+    Split into 27- and 26-bit halves, the mantissas add up exactly per
+    exponent in float64 bincounts (every partial sum is an integer below
+    2^53 while there are fewer than 2^26 terms), and the per-exponent sums
+    add up exactly as Python ints; one correctly rounded division ends it.
+    Its cost does not grow with the terms' dynamic range, where math.fsum
+    keeps ever more partials.  Non-finite terms, longer inputs and a sum
+    that overflows go to math.fsum, which then gives its own answer or
+    error.
+    """
+    if terms.size >= 2**26 or not np.isfinite(terms).all():
+        return math.fsum(terms.tolist())
+    mant, exps = np.frexp(terms)
+    low = int(exps.min(initial=0))
+    exps = exps.astype(np.intp) - low
+    mant *= 2.0**27
+    high = np.floor(mant)
+    mant -= high
+    mant *= 2.0**26  # the low 26 bits, as an integer
+    high_sums = np.bincount(exps, weights=high)
+    low_sums = np.bincount(exps, weights=mant)
+    total = 0
+    for e in np.flatnonzero(high_sums).tolist():
+        total += int(high_sums[e]) << (e + 26)
+    for e in np.flatnonzero(low_sums).tolist():
+        total += int(low_sums[e]) << e
+    shift = low - 53
+    try:
+        return float(total << shift) if shift >= 0 else total / (1 << -shift)
+    except OverflowError:
+        return math.fsum(terms.tolist())
+
+
 def c0_bruteforce(T: WeightTable, xi, m) -> float:
     """Finite-m normalization sum n! m^{-n} sum_alpha e^{-<alpha,xi>/m} dim,
-    accumulated by exact compensated summation in lex weight order."""
+    with the inner sum correctly rounded (``_fsum``)."""
     m = T._check_degree(m)
     xf = as_float_vector(xi, T.dim)
-    alphas = T.alphas(m)
-    dims = T.dims(m)
+    alphas, dims = T.atoms(m)
     with np.errstate(over="ignore"):
         terms = np.exp(-(alphas @ xf) / m) * dims
     scale = math.factorial(T.dim) / float(m) ** T.dim
-    return scale * math.fsum(terms.tolist())
+    return scale * _fsum(terms)
 
 
 class LipschitzCheck(NamedTuple):
@@ -514,7 +614,7 @@ class DHSample:
     weight_bound: float
 
     def __post_init__(self):
-        total = math.fsum(self.masses.tolist())
+        total = _fsum(self.masses)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError("masses must sum to 1")
         if self.lambdas.size:
@@ -534,8 +634,8 @@ def dh_measure(T: WeightTable, xi, m) -> DHSample:
     division by N_m."""
     m = T._check_degree(m)
     xf = as_float_vector(xi, T.dim)
-    lambdas = (T.alphas(m) @ xf) / m
-    dims = T.dims(m)
+    alphas, dims = T.atoms(m)
+    lambdas = (alphas @ xf) / m
     uniq, inverse = np.unique(lambdas, return_inverse=True)
     weights = np.zeros(uniq.shape[0], dtype=np.int64)
     np.add.at(weights, inverse, dims)
@@ -554,7 +654,7 @@ def dh_exp_moment(D: DHSample) -> float:
     """int e^{-lambda} dDH over the sample's atoms."""
     with np.errstate(over="ignore"):
         terms = np.exp(-D.lambdas) * D.masses
-    return math.fsum(terms.tolist())
+    return _fsum(terms)
 
 
 # ---------------------------------------------------------------------------

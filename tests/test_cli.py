@@ -7,7 +7,11 @@ and compared against direct library calls, and the determinism contract
 
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -340,6 +344,31 @@ def test_character_csv_input_no_exact_section(runner, tmp_path):
     assert rep["source"].startswith("external:")
     assert "exact" not in rep
     assert float(rep["laurent"]["b0"]) == pytest.approx(2 / 3, rel=0.01)
+
+
+def test_character_cube_default_depth_fits_512_mib(tmp_path):
+    """The default-depth (m_max 128) cube character runs in a child under
+    a 512 MiB address-space cap: a toric table keeps per-degree counts and
+    moments, never the 16.9 million points of 128P."""
+    src = os.path.dirname(os.path.dirname(wr.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cap = 512 * 2**20
+    out = tmp_path / "report.json"
+    res = subprocess.run(
+        [sys.executable, "-m", "hstab.cli", "character", path_of("cube"),
+         "--xi", "1,1,1", "--output", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=300,
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    rep = json.loads(out.read_text())["report"]
+    assert rep["m_max"] == 128
+    assert rep["exact"]["b0"] == rep["exact"]["b1"] == "0"
+    assert float(rep["exact"]["b0_error"]) < 1e-6
+    assert float(rep["exact"]["b1_error"]) < 1e-6
 
 
 def test_character_shallow_table_exit_2(runner):

@@ -2,9 +2,10 @@
 the lattice-normalized boundary measure.
 
 Derived quantities are checked against independent oracles: lattice-point
-counts come from a direct per-coordinate scan written here, volumes from
-Richardson extrapolation of those counts, and the boundary measure from
-the second coefficient of the count polynomial.
+counts come from a direct per-coordinate scan and from a box, filter and
+lexsort enumerator, both written here, volumes from Richardson
+extrapolation of those counts, and the boundary measure from the second
+coefficient of the count polynomial.
 """
 
 import itertools
@@ -23,7 +24,7 @@ import pytest
 import hstab.lattice_geom as lg
 from hstab import corpus
 from hstab.errors import DegeneratePolytope, NonRationalInput, ParseError
-from hstab.simplex_calculus import AffineForm, Simplex, _det, _dot
+from hstab.simplex_calculus import AffineForm, Simplex, _det, _dot, _int_det
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,52 @@ def enumerate_dilate(P, m):
     return sorted(found)
 
 
+def box_filter_points(P, m):
+    """Oracle for lattice_points: every integer point of the bounding box
+    of mP, one slab of the first coordinate at a time, kept when it meets
+    every facet inequality q <v, alpha> <= m p in int64, then lexsorted."""
+    n = P.dim
+    lo = [math.ceil(m * min(v[i] for v in P.vertices)) for i in range(n)]
+    hi = [math.floor(m * max(v[i] for v in P.vertices)) for i in range(n)]
+    normals = np.array([f.normal for f in P.facets], dtype=np.int64)
+    qs = np.array([f.offset.denominator for f in P.facets], dtype=np.int64)
+    ps = np.array([f.offset.numerator for f in P.facets], dtype=np.int64)
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo[1:], hi[1:])]
+    tail = np.zeros((1, 0), dtype=np.int64)
+    if axes:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        tail = np.stack([a.reshape(-1) for a in mesh], axis=1)
+    slabs = [np.zeros((0, n), dtype=np.int64)]
+    for x0 in range(lo[0], hi[0] + 1):
+        grid = np.concatenate(
+            [np.full((tail.shape[0], 1), x0, dtype=np.int64), tail], axis=1
+        )
+        keep = np.all((grid @ normals.T) * qs <= m * ps, axis=1)
+        slabs.append(grid[keep])
+    pts = np.concatenate(slabs, axis=0)
+    order = np.lexsort(tuple(pts[:, j] for j in range(n - 1, -1, -1)))
+    return np.ascontiguousarray(pts[order])
+
+
+def fraction_det(rows):
+    """Oracle for the determinant: Gaussian elimination over Fraction."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    k, det = len(a), Fraction(1)
+    for col in range(k):
+        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, k):
+            f = a[r][col] / a[col][col]
+            for c in range(col, k):
+                a[r][c] -= f * a[col][c]
+    return det
+
+
 def count_extrapolated_volume(P, ms=(16, 32, 64)):
     """Richardson estimate of vol(P) from counts N_m = vol*m^n + O(m^{n-1});
     two-point elimination of the 1/m term."""
@@ -72,7 +119,7 @@ def scan_hull_facets(points, d):
         base = points[subset[0]]
         edges = [[a - b for a, b in zip(points[i], base)] for i in subset[1:]]
         normal = [
-            (-1) ** j * _det([row[:j] + row[j + 1 :] for row in edges])
+            (-1) ** j * fraction_det([row[:j] + row[j + 1 :] for row in edges])
             for j in range(d)
         ]
         if not any(normal):
@@ -119,6 +166,19 @@ def solve_exact(cols, rhs):
     return tuple(a[i][k] for i in range(k))
 
 
+def point_sub(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def fraction_facet_measure(piece, normal):
+    """Oracle for lattice_geom._facet_measure in Fraction arithmetic:
+    |det(edges, v)| / ((n-1)! <v, v>) with Fraction edges."""
+    rows = [point_sub(p, piece[0]) for p in piece[1:]]
+    rows.append(tuple(Fraction(v) for v in normal))
+    n = len(normal)
+    return abs(fraction_det(rows)) / (math.factorial(n - 1) * _dot(normal, normal))
+
+
 def chart_fan_face(points, d):
     """Oracle for lattice_geom._fan_face from coordinates alone: put exact
     affine coordinates on the d-flat of the face, take a fresh hull there,
@@ -134,14 +194,14 @@ def chart_fan_face(points, d):
     apex = base = points[0]
     basis = []
     for p in points[1:]:
-        e = lg._sub(p, base)
+        e = point_sub(p, base)
         if lg._rank(basis + [e]) > len(basis):
             basis.append(e)
         if len(basis) == d:
             break
     if len(basis) != d:
         raise DegeneratePolytope("face does not span a d-flat")
-    coords = [solve_exact(basis, lg._sub(p, base)) for p in points]
+    coords = [solve_exact(basis, point_sub(p, base)) for p in points]
     simplices = []
     for inc in lg._hull_facets(coords, d).values():
         face_pts = [points[i] for i in inc]
@@ -156,7 +216,7 @@ def chart_triangulation(P, base):
     """The star triangulation of P over base that lattice_geom.triangulate
     must return, with every facet fanned by chart_fan_face."""
     pieces = tuple(
-        lg.FacetPiece(fid, tri, lg._facet_measure(tri, f.normal))
+        lg.FacetPiece(fid, tri, fraction_facet_measure(tri, f.normal))
         for fid, f in enumerate(P.facets)
         for tri in chart_fan_face([P.vertices[i] for i in f.vertex_ids], P.dim - 1)
     )
@@ -271,17 +331,18 @@ def test_hull_matches_scan_on_products(polytopes, a, b):
     assert lg._hull_facets(pts, 4) == scan_hull_facets(pts, 4)
 
 
-def random_point_set(rng, d, rational):
-    """Random full-dimensional points plus a segment midpoint, a triangle
-    centroid, the centroid of all, and three collinear points on a face of
-    the bounding box (so on the hull's boundary); integer or rational."""
+def random_point_set(rng, d, rational, radius=4):
+    """Random full-dimensional points in [-radius, radius]^d plus a segment
+    midpoint, a triangle centroid, the centroid of all, and three collinear
+    points on a face of the bounding box (so on the hull's boundary);
+    integer or rational."""
     def coord():
         den = rng.choice((1, 2, 3)) if rational else 1
-        return Fraction(rng.randint(-4, 4), den)
+        return Fraction(rng.randint(-radius, radius), den)
 
     while True:
         pts = [tuple(coord() for _ in range(d)) for _ in range(rng.randint(d + 1, 9))]
-        if lg._rank([lg._sub(p, pts[0]) for p in pts[1:]]) == d:
+        if lg._rank([point_sub(p, pts[0]) for p in pts[1:]]) == d:
             break
     a, b, c = pts[0], pts[1], pts[-1]
     pts += [tuple((x + y) / 2 for x, y in zip(a, b))]  # on a segment
@@ -347,6 +408,20 @@ def test_triangulation_matches_chart_oracle_on_products(polytopes, a, b):
     assert dec == chart_triangulation(P, dec.base)
 
 
+def test_determinants_match_fraction_elimination():
+    """_int_det (Bareiss) and _det (rows scaled to integers) against
+    Gaussian elimination over Fraction, sizes 0-6, singular ones too."""
+    rng = random.Random(61)
+    for _ in range(300):
+        k = rng.randint(0, 6)
+        rows = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(k)]
+        if k > 1 and rng.random() < 0.2:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]  # singular
+        assert _int_det(rows) == fraction_det(rows), rows
+        ratl = [[Fraction(x, rng.choice((1, 2, 3, 7))) for x in r] for r in rows]
+        assert _det(ratl) == fraction_det(ratl), ratl
+
+
 def test_triangulate_computes_no_hull(polytopes, monkeypatch):
     """Faces are intersections of the facet incidence sets, so
     triangulating cube x cube (6-D) takes no further hull; the chart
@@ -357,7 +432,6 @@ def test_triangulate_computes_no_hull(polytopes, monkeypatch):
     monkeypatch.setattr(
         lg, "_hull_facets", lambda *args: calls.append(args) or hull(*args)
     )
-    lg._triangulate_cached.cache_clear()
     assert lg.triangulate(P).n_simplices == 1440
     assert len(calls) == 0
 
@@ -456,6 +530,62 @@ def test_lattice_points_sorted_and_contain_origin(polytopes):
         pts = lg.lattice_points(P, 1).tolist()
         assert pts == sorted(pts)
         assert [0] * P.dim in pts
+
+
+def stats_of(pts):
+    """(count, column sums, largest squared norm) of a small point array."""
+    return (
+        len(pts),
+        tuple(int(c) for c in pts.sum(axis=0)),
+        int((pts * pts).sum(axis=1).max(initial=0)),
+    )
+
+
+def assert_rows_match_oracle(P, ms):
+    for m in ms:
+        want = box_filter_points(P, m)
+        got = lg.lattice_points(P, m)
+        assert got.dtype == np.int64 and got.flags.c_contiguous, m
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), m
+        assert tuple(lg.lattice_stats(P, m)) == stats_of(want), m
+
+
+DILATIONS = (1, 2, 3, 5, 8, 13)
+
+
+def test_lattice_rows_match_box_oracle_on_corpus(polytopes):
+    for P in polytopes.values():
+        assert_rows_match_oracle(P, DILATIONS)
+
+
+@pytest.mark.parametrize("a,b", PRODUCTS)
+def test_lattice_rows_match_box_oracle_on_products(polytopes, a, b):
+    assert_rows_match_oracle(
+        lg.build_polytope(product_points(polytopes[a], polytopes[b])), DILATIONS
+    )
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_lattice_rows_match_box_oracle_on_random_polytopes(seed):
+    """Dims 1-4, integer and rational vertices (offsets p/q with q > 1);
+    the box shrinks with the dimension so 13P stays small."""
+    rng = random.Random(seed)
+    d, rational = 1 + seed % 4, seed % 8 >= 4
+    radius = (4, 4, 2, 1)[d - 1]
+    P = lg.build_polytope(random_point_set(rng, d, rational, radius))
+    assert_rows_match_oracle(P, DILATIONS)
+
+
+def test_lattice_stats_exact_beyond_int64():
+    """The sums of [-5e9, 7e9] leave int64 (sum 1.2e19, largest |x|^2
+    4.9e19); the counts come from the closed forms in Python ints."""
+    lo, hi = -5 * 10**9, 7 * 10**9
+    P = lg.build_polytope([(lo,), (hi,)])
+    for m in (1, 2):
+        count = m * (hi - lo) + 1
+        assert lg.lattice_stats(P, m) == (
+            count, (m * (lo + hi) * count // 2,), m * m * hi * hi
+        )
 
 
 def test_translate_conjugates_lattice_points():

@@ -65,6 +65,35 @@ def test_counts_match_lattice_enumeration(polytopes):
             assert T.count(m) == len(lg.lattice_points(P, m)), (name, m)
 
 
+def test_toric_table_enumerates_only_for_atoms(monkeypatch):
+    """A toric table keeps per-degree counts and moments from the lattice
+    rows: the statistics enumerate no point, and each atom call enumerates
+    its degree exactly once and keeps nothing."""
+    calls = []
+    points = lg.lattice_points
+    monkeypatch.setattr(
+        lg, "lattice_points", lambda P, m: calls.append(m) or points(P, m)
+    )
+    P = corpus.load_corpus("blowup_two")
+    T = wr.weight_table_toric(P, 128)
+    xi = (0.3, -0.7)
+    assert T.count(5) == len(points(P, 5))
+    assert T.moment(7) == tuple(int(c) for c in points(P, 7).sum(axis=0))
+    wr.total_weight(T, xi, 9)
+    wr.fit_b0_b1(T, xi)
+    wr.weight_character(T, xi, 0.3, 128)
+    wr.laurent_fit(T, xi)
+    assert calls == []
+    wr.c0_bruteforce(T, xi, 6)
+    assert calls == [6]
+    wr.dh_measure(T, xi, 11)
+    assert calls == [6, 11]
+    wr.c0_estimate(T, xi)
+    assert calls == [6, 11, 125, 126, 127, 128]
+    first, again = T.alphas(3), T.alphas(3)
+    assert first is not again and first.tobytes() == again.tobytes()
+
+
 def test_toric_table_requires_reflexive():
     P = lg.build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(NotReflexive):
@@ -145,6 +174,41 @@ def test_csv_errors(tmp_path):
         load("m,a1,dim\n1,-1,1\n1,0,1\n1,1,1\n2,0,1\n")
     assert "smaller" in str(err.value)  # N_m must not drop
 
+    # files the one-pass reader refuses go field by field, so each error
+    # names the first offending line
+    for body, line, message in [
+        ("1,0,1\n2,0,1,9\n", 3, "row has 4 fields, expected 3"),
+        ("1,0,1\n2,1.0,1\n", 3, "weight entry '1.0' is not an integer"),
+        ("1,0,1\n2,-,1\n", 3, "weight entry '-' is not an integer"),
+        ("1,0,1\n0,0,1\n", 3, "degree m = 0 must be >= 1"),
+        ("1,0,1\n2,0,0\n", 3, "multiplicity 0 must be >= 1"),
+        ("1,0,1\n2,0,1\n2,0,2\n", 4, "duplicate row for m = 2, alpha = (0,)"),
+        ("2,0,1\n1,0,1\n1,0,1\n", 4, "duplicate row for m = 1, alpha = (0,)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            load("m,a1,dim\n" + body)
+        assert str(err.value) == f"line {line}: {message}"
+
+
+def test_csv_plain_file_parsed_in_one_pass(tmp_path, monkeypatch):
+    """A file in save_weight_table's form never reaches the per-field
+    parser, and the table read back is the one written."""
+    calls = []
+    parse = wr._parse_int
+    monkeypatch.setattr(
+        wr, "_parse_int", lambda *args: calls.append(args) or parse(*args)
+    )
+    T = wr.weight_table_toric(corpus.load_corpus("blowup_two"), 12)
+    path = tmp_path / "t.csv"
+    wr.save_weight_table(T, path)
+    T2 = wr.load_weight_table(path)
+    assert calls == []
+    assert T2.weight_bound_sq == T.weight_bound_sq
+    for m in range(1, 13):
+        assert T2.alphas(m).tobytes() == T.alphas(m).tobytes()
+        assert T2.dims(m).tolist() == [1] * T.count(m)
+        assert T2.moment(m) == T.moment(m)
+
 
 def test_csv_blank_lines_and_order_insensitive(tmp_path):
     p = tmp_path / "t.csv"
@@ -153,6 +217,14 @@ def test_csv_blank_lines_and_order_insensitive(tmp_path):
     assert T.m_max == 2
     assert T.alphas(2).tolist() == [[-1], [1]]
     assert T.dims(1).tolist() == [2]
+    # whitespace, '+' and CRLF line ends are accepted by int() and the csv
+    # module, so they read the same
+    loose = tmp_path / "loose.csv"
+    loose.write_bytes(b"m, a1 ,dim\r\n2, +1,1\r\n1,0 ,2\r\n\r\n2,-1,1\r\n")
+    T2 = wr.load_weight_table(loose)
+    for m in (1, 2):
+        assert T2.alphas(m).tolist() == T.alphas(m).tolist()
+        assert T2.dims(m).tolist() == T.dims(m).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +338,39 @@ def test_c0_bruteforce_small_cases():
         math.e + 1 + 1 / math.e, rel=1e-15
     )
     assert wr.c0_bruteforce(T, (0.0,), 10) == pytest.approx(2.1, rel=1e-15)
+
+
+def test_fsum_matches_math_fsum_bit_for_bit():
+    """_fsum is the correctly rounded sum, as math.fsum is: equal bits on
+    wide dynamic ranges, subnormals, cancellations and half-ulp ties, and
+    the same answer or error on inf, nan and overflow."""
+    rng = np.random.default_rng(53)
+    cases = [
+        [1.0, 2.0**-53],
+        [1.0, 2.0**-53, 2.0**-106],
+        [1.0, 2.0**-53, -(2.0**-160)],
+        [1e308, 1e308],
+        [1e308, -1e308, 1e308],
+        [math.inf, 1.0],
+        [math.nan],
+        [],
+    ]
+    for _ in range(500):
+        n = int(rng.integers(1, 80))
+        cases.append(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n))
+        cases.append(np.exp(rng.uniform(-700, 700, n)) * rng.integers(1, 4, n))
+        cases.append(rng.integers(-(2**53), 2**53, n) * 2.0 ** rng.integers(-1100, 960, n))
+        cases.append(rng.standard_normal(n) * 5e-324 * rng.integers(1, 1000, n))
+
+    def outcome(fn, values):
+        try:
+            return repr(fn(values))
+        except (OverflowError, ValueError) as exc:
+            return repr(exc)
+
+    for values in cases:
+        arr = np.array(values, dtype=float)
+        assert outcome(wr._fsum, arr) == outcome(math.fsum, arr.tolist()), values
 
 
 def test_c0_bruteforce_converges_to_exact():
