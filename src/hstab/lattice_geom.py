@@ -19,7 +19,10 @@ in lex order, and ``lattice_stats`` sums them (count, moment vector,
 largest squared norm) without ever building a point.
 
 Derived data (triangulation, volume, moment vectors) is memoized on the
-polytope itself, so it lives exactly as long as the polytope does.
+polytope itself, so it lives exactly as long as the polytope does.  The
+volume and the interior and boundary moment vectors come from one pass
+over the triangulation: each cone's volume (its simplex's own
+determinant) and each facet piece's measure times its centroid.
 
 Conventions:
   * A polytope is stored by its lex-sorted vertex matrix together with its
@@ -463,9 +466,33 @@ def triangulate(
 
 
 @_memoized
+def _moments(P: LatticePolytope) -> tuple:
+    """(volume, moment vector, boundary moment vector) of P in one pass
+    over the default triangulation.  A cone S adds vol(S) and vol(S) times
+    its centroid, the vertex sum over n + 1; a facet piece adds its measure
+    times its vertex sum over n.  Cone volumes are the simplices' own
+    determinants, never the facet measures, so the boundary identity
+    sigma(dP) = n vol(P) stays a check of two independent computations."""
+    n = P.dim
+    dec = triangulate(P)
+    vol = Fraction(0)
+    mom = [Fraction(0)] * n
+    for s in dec.simplices:
+        w = s.volume()
+        vol += w
+        for i, col in enumerate(zip(*s.vertices)):
+            mom[i] += w * sum(col)
+    bmom = [Fraction(0)] * n
+    for piece in dec.facet_pieces:
+        for i, col in enumerate(zip(*piece.vertices)):
+            bmom[i] += piece.measure * sum(col)
+    return vol, tuple(c / (n + 1) for c in mom), tuple(c / n for c in bmom)
+
+
 def volume(P: LatticePolytope) -> Fraction:
-    """Euclidean volume of P, exact, as the sum over the star triangulation."""
-    return sum((s.volume() for s in triangulate(P).simplices), Fraction(0))
+    """Euclidean volume of P, exact: the sum of the cone volumes of the
+    star triangulation, read from the one memoized moment pass."""
+    return _moments(P)[0]
 
 
 def normalized_volume(P: LatticePolytope) -> Fraction:
@@ -498,22 +525,16 @@ def interior_integral(P: LatticePolytope, form: AffineForm) -> Fraction:
     )
 
 
-@_memoized
 def moment_vector(P: LatticePolytope) -> tuple:
-    """(int_P x_i dx)_i as exact Fractions."""
-    return tuple(
-        interior_integral(P, AffineForm.coordinate(i, P.dim))
-        for i in range(P.dim)
-    )
+    """(int_P x_i dx)_i as exact Fractions: each cone's volume times its
+    centroid, summed in the one memoized moment pass."""
+    return _moments(P)[1]
 
 
-@_memoized
 def boundary_moment_vector(P: LatticePolytope) -> tuple:
-    """(int_{dP} x_i dsigma)_i as exact Fractions."""
-    return tuple(
-        boundary_integral(P, AffineForm.coordinate(i, P.dim))
-        for i in range(P.dim)
-    )
+    """(int_{dP} x_i dsigma)_i as exact Fractions: each facet piece's
+    measure times its centroid, summed in the one memoized moment pass."""
+    return _moments(P)[2]
 
 
 def barycenter(P: LatticePolytope) -> tuple:

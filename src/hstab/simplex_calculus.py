@@ -33,6 +33,7 @@ at a time and stops at its first negligible term.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,7 +136,14 @@ class Simplex:
         return [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
 
     def volume(self) -> Fraction:
-        """Euclidean volume |det(edges)| / n!, exact; zero if degenerate."""
+        """Euclidean volume |det(edges)| / n!, exact; zero if degenerate.
+        The determinant is taken once per simplex (see ``_volume``)."""
+        return self._volume
+
+    @functools.cached_property
+    def _volume(self) -> Fraction:
+        # cached_property writes the instance __dict__ directly, so it works
+        # on the frozen dataclass and leaves eq, hash and repr alone
         n = self.dim
         if len(self.vertices) != n + 1:
             raise DegenerateSimplex(

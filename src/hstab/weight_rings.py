@@ -388,14 +388,20 @@ def load_weight_table(path) -> WeightTable:
 
 def save_weight_table(T: WeightTable, path) -> None:
     """Write a table in the canonical CSV form (degrees ascending, weights
-    lex within each degree)."""
+    lex within each degree) with CRLF line ends, as csv.writer writes it.
+    Each degree is one block: a single %-format over its flat rows."""
+    row = ",".join(["%d"] * (T.dim + 2)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(T.dim))
+        fh.write(",".join(_csv_header(T.dim)) + "\r\n")
         for m in range(1, T.m_max + 1):
             alphas, dims = T.atoms(m)
-            for alpha, d in zip(alphas.tolist(), dims.tolist()):
-                writer.writerow([m] + alpha + [d])
+            rows = np.empty(
+                (dims.shape[0], T.dim + 2), dtype=np.result_type(alphas, dims)
+            )
+            rows[:, 0] = m
+            rows[:, 1:-1] = alphas
+            rows[:, -1] = dims
+            fh.write((row * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -695,6 +695,72 @@ def test_reflexive_boundary_identities_exact(polytopes):
             assert lg.boundary_integral(P, xi) == (n + 1) * mom[i], name
 
 
+def oracle_moments(P):
+    """(volume, moment vector, boundary moment vector) from the default
+    triangulation with the test's own arithmetic: cone volumes from
+    fraction_det, facet measures from fraction_facet_measure, each times
+    its simplex's centroid."""
+    n = P.dim
+    dec = lg.triangulate(P)
+    vol, mom, bmom = Fraction(0), [Fraction(0)] * n, [Fraction(0)] * n
+    for s in dec.simplices:
+        w = abs(fraction_det([point_sub(v, s.vertices[0]) for v in s.vertices[1:]]))
+        w /= math.factorial(n)
+        vol += w
+        for i in range(n):
+            mom[i] += w * sum(v[i] for v in s.vertices) / (n + 1)
+    for piece in dec.facet_pieces:
+        w = fraction_facet_measure(piece.vertices, P.facets[piece.facet_id].normal)
+        for i in range(n):
+            bmom[i] += w * sum(v[i] for v in piece.vertices) / n
+    return vol, tuple(mom), tuple(bmom)
+
+
+def assert_moments_match_oracle(P):
+    """The one-pass volume and moments of a fresh copy of P equal the
+    oracle and the per-coordinate interior/boundary integrals, as
+    Fractions."""
+    fresh = lg.build_polytope(P.vertices)
+    got = (lg.volume(fresh), lg.moment_vector(fresh), lg.boundary_moment_vector(fresh))
+    assert all(isinstance(x, Fraction) for x in (got[0],) + got[1] + got[2])
+    assert got == oracle_moments(P), P.vertices
+    n = P.dim
+    coords = [AffineForm.coordinate(i, n) for i in range(n)]
+    assert got[0] == lg.interior_integral(P, AffineForm.constant(1, n))
+    assert got[1] == tuple(lg.interior_integral(P, f) for f in coords)
+    assert got[2] == tuple(lg.boundary_integral(P, f) for f in coords)
+
+
+def test_moments_match_oracle_on_corpus(polytopes):
+    for P in polytopes.values():
+        assert_moments_match_oracle(P)
+
+
+@pytest.mark.parametrize("a,b", PRODUCTS + (("cube", "hexagon"),))
+def test_moments_match_oracle_on_products(polytopes, a, b):
+    assert_moments_match_oracle(
+        lg.build_polytope(product_points(polytopes[a], polytopes[b]))
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_moments_match_oracle_on_random_polytopes(d):
+    """Rational, non-reflexive polytopes: facet offsets other than 1, and
+    every other one moved off the origin, so its base is the vertex
+    centroid."""
+    rng = random.Random(7100 + d)
+    radius = (4, 4, 2, 2)[d - 1]
+    for k in range(6):
+        pts = random_point_set(rng, d, True, radius)
+        if k % 2:
+            pts = [(p[0] + 2 * radius + 1,) + p[1:] for p in pts]
+        P = lg.build_polytope(pts)
+        assert not lg.is_reflexive(P)
+        if k % 2:
+            assert any(lg.triangulate(P).base)
+        assert_moments_match_oracle(P)
+
+
 def test_ehrhart_second_coefficient(polytopes):
     """N_m - vol m^n - (sigma/2) m^{n-1} = O(m^{n-2}); the residual ratio
     between m and 2m must stay bounded near 2^{n-2}."""

@@ -6,7 +6,9 @@ search along the diagonal symmetry axis for the blow-up optima, and
 hand values for the interval.
 """
 
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 import hstab.invariants as inv
 import hstab.lattice_geom as lg
 import hstab.optimal_degeneration as od
+import hstab.simplex_calculus as sc
 from hstab import corpus
 from hstab.errors import Inconclusive, NotReflexive
 
@@ -346,3 +349,104 @@ def test_no_flat_directions_in_corpus(polytopes):
     for name, P in polytopes.items():
         res = od.maximize_h(P)
         assert not res.flat_direction, name
+
+
+# ---------------------------------------------------------------------------
+# exact data computed once per object
+
+
+# the 4-D products the benchmark builds from corpus vertex sets
+PRODUCTS = (
+    ("square", "square"),
+    ("triangle", "triangle_dual"),
+    ("blowup_one", "square"),
+    ("blowup_one", "blowup_two"),
+    ("interval", "cube"),
+)
+
+
+def product(polytopes, a, b):
+    pts = [u + w for u in polytopes[a].vertices for w in polytopes[b].vertices]
+    return lg.build_polytope(pts, name=f"{a}x{b}")
+
+
+def test_warm_polytope_takes_no_determinant(polytopes, monkeypatch):
+    """Once P has a report, every simplex keeps its volume and P its
+    moments: nothing further on P takes an exact determinant."""
+    P = product(polytopes, "blowup_one", "square")
+    xi = (0.3, -0.2, 0.1, 0.05)
+    inv.build_report(P, xi)
+    calls = []
+    for mod in (sc, lg):
+        det = mod._int_det
+        monkeypatch.setattr(
+            mod, "_int_det", lambda rows, det=det: calls.append(rows) or det(rows)
+        )
+    inv.build_report(P, (0.1, 0.2, -0.3, 0.4))
+    for order in (0, 1, 2):
+        sc.exp_moments(lg.triangulate(P).simplices, xi, order)
+    od.h_hessian(P, xi)
+    od.maximize_h(P, max_iter=2)
+    assert calls == []
+
+
+def test_moments_skip_the_affine_integrals(polytopes, monkeypatch):
+    """volume, moment_vector and boundary_moment_vector of a fresh
+    polytope come from one pass, not from per-coordinate integrals."""
+
+    def refuse(*args):
+        raise AssertionError("per-coordinate integral on the moment path")
+
+    for name in ("interior_integral", "boundary_integral", "integral_linear_simplex"):
+        monkeypatch.setattr(lg, name, refuse)
+    P = product(polytopes, "triangle", "triangle_dual")
+    assert lg.volume(P) == Fraction(9, 2) * Fraction(3, 2)
+    assert lg.moment_vector(P) == (0, 0, 0, 0)
+    assert lg.boundary_moment_vector(P) == (0, 0, 0, 0)
+
+
+def bits(x):
+    """x with every float spelled as float.hex, recursively."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, np.ndarray):
+        return bits(x.tolist())
+    if dataclasses.is_dataclass(x):
+        return bits(dataclasses.astuple(x))
+    if isinstance(x, (list, tuple)):
+        return [bits(y) for y in x]
+    return x
+
+
+@pytest.mark.parametrize(
+    "name", list(corpus.CORPUS_NAMES) + ["x".join(p) for p in PRODUCTS]
+)
+def test_warm_caches_match_cold_bit_for_bit(polytopes, name):
+    """Moments, reports and Hessians from warm per-object caches equal,
+    bit for bit, those from freshly built polytopes and simplices."""
+    if name in polytopes:
+        warm = lg.build_polytope(polytopes[name].vertices, name=name)
+    else:
+        warm = product(polytopes, *name.split("x"))
+    n = warm.dim
+    rng = random.Random(name)
+    dirs = [
+        tuple(scale * rng.gauss(0.0, 1.0) for _ in range(n))
+        for scale in (1e-6, 1.0, 40.0)
+    ]
+    for xi in dirs:
+        inv.build_report(warm, xi)
+        od.h_hessian(warm, xi)
+
+    def cold():
+        return lg.build_polytope(warm.vertices, name=name)
+
+    simplices = lg.triangulate(warm).simplices
+    for xi in dirs:
+        fresh = [sc.Simplex(vertices=s.vertices) for s in simplices]
+        for order in (0, 1, 2):
+            assert bits(sc.exp_moments(simplices, xi, order)) == bits(
+                sc.exp_moments(fresh, xi, order)
+            ), (xi, order)
+        assert bits(inv.build_report(warm, xi)) == bits(inv.build_report(cold(), xi))
+        assert bits(od.h_hessian(warm, xi)) == bits(od.h_hessian(cold(), xi))

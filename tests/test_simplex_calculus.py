@@ -227,6 +227,24 @@ def test_simplex_volume_and_degeneracy():
         simplex([(0, 0), (1, 0), (2, 0)]).volume()
 
 
+def test_simplex_volume_taken_once(monkeypatch):
+    """The volume is kept on the simplex: one determinant however often it
+    is read, and eq, hash and repr see only the vertices."""
+    calls = []
+    det = sc._int_det
+    monkeypatch.setattr(sc, "_int_det", lambda rows: calls.append(rows) or det(rows))
+    S = simplex([(0, 0), (3, 0), (0, 1)])
+    bare = sc.Simplex(vertices=S.vertices)
+    assert len(calls) == 1
+    for _ in range(3):
+        assert S.volume() == Fraction(3, 2)
+        integral_linear_simplex(S, AffineForm.coordinate(0, dim=2))
+        integral_exp_simplex(S, (0.5, -0.25))
+    assert len(calls) == 1
+    assert S == bare and hash(S) == hash(bare) and repr(S) == repr(bare)
+    assert bare.volume() == S.volume() and len(calls) == 2
+
+
 def test_affine_form_eval():
     f = AffineForm.linear([2, -1])
     assert f((3, 1)) == 5

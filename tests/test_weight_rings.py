@@ -7,6 +7,7 @@ blow-up, product closed forms for c0 on boxes, and the uniform CDF for
 the interval's DH limit.
 """
 
+import csv
 import math
 import os
 import subprocess
@@ -134,6 +135,31 @@ def test_csv_roundtrip(tmp_path):
         assert (T2.alphas(m) == T.alphas(m)).all()
         assert (T2.dims(m) == T.dims(m)).all()
     assert T2.weight_bound <= T.weight_bound + 1e-12
+
+
+def csv_writer_table(T, path):
+    """save_weight_table as it was written before the block writer: one
+    csv.writer row per weight."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["m"] + [f"a{i + 1}" for i in range(T.dim)] + ["dim"])
+        for m in range(1, T.m_max + 1):
+            alphas, dims = T.atoms(m)
+            for alpha, d in zip(alphas.tolist(), dims.tolist()):
+                writer.writerow([m] + alpha + [d])
+
+
+@pytest.mark.parametrize("name,depth", [("blowup_two", 40), ("cube", 9), ("interval", 40)])
+def test_save_matches_csv_writer_bytes(tmp_path, name, depth):
+    """The block writer's bytes equal the csv.writer loop's, negative
+    coordinates included (the cube), and so do those of a table read back."""
+    T = wr.weight_table_toric(corpus.load_corpus(name), depth)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    wr.save_weight_table(T, got)
+    csv_writer_table(T, want)
+    assert got.read_bytes() == want.read_bytes()
+    wr.save_weight_table(wr.load_weight_table(want), got)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_csv_errors(tmp_path):
