@@ -158,8 +158,10 @@ def maximize_h(
         )
 
     status = "max_iterations"
+    last = None  # (grad, hess) of the loop's evaluation at the current xi
     for it in range(max_iter):
         grad, hess = _grad_hess(P, xi, order=2)
+        last = grad, hess
         gnorm = float(np.linalg.norm(grad))
         if trace is not None:
             trace.append(
@@ -213,13 +215,17 @@ def maximize_h(
                 break
 
         xi = cand
+        last = None
         h_val = h_cand
         iterations = it + 1
         # Jensen ordering must hold at every iterate
         if not float(df_raw(P, xi)) >= h_val - 1e-9:
             raise ArithmeticError("DF fell below H along the ascent")
 
-    final_grad, final_hess = _grad_hess(P, xi, order=2)
+    # a converged run or a failed line search ends where it last evaluated
+    if last is None:
+        last = _grad_hess(P, xi, order=2)
+    final_grad, final_hess = last
     final_top = float(np.linalg.eigvalsh(final_hess)[-1])
     return OptimizationResult(
         status=status,

@@ -28,7 +28,9 @@ nodes spans at most 1e-4, so confluent and clustered nodes lose no
 accuracy to cancellation.  Both halves are output-sensitive: a tight block
 is summed only when the recursion reads it, so a node set that is one
 tight block costs a single series, and the series builds h_k one degree
-at a time and stops at its first negligible term.
+at a time and stops at its first negligible term.  Within one moment pass
+each distinct vertex is converted to float once and each distinct node set
+is evaluated once; nothing is kept after the pass returns.
 """
 
 from __future__ import annotations
@@ -266,7 +268,9 @@ def exp_moments(simplices, xi, order: int = 2):
     where shift = max over all vertices of -<x, xi>, so i0 is free of
     overflow for any xi.  i1/i2 are None below the requested order.
     Accumulation across simplices uses exact compensated summation in the
-    order the simplices are given.
+    order the simplices are given.  Each distinct vertex object is
+    converted once and each distinct sorted node set evaluated once per
+    call, so shared vertices and repeated node sets cost nothing extra.
     """
     simplices = list(simplices)
     if not simplices:
@@ -276,22 +280,43 @@ def exp_moments(simplices, xi, order: int = 2):
     if len(xf) != n:
         raise ValueError("direction has wrong dimension")
 
-    def node(v) -> float:
-        return -math.fsum(c * float(x) for c, x in zip(xf, v))
+    # Triangulations share vertex tuples between simplices, so vertices are
+    # keyed by id(v); each entry holds v, so no id is reused within the call.
+    points = {}
 
-    shift = max(node(v) for s in simplices for v in s.vertices)
+    def point(v):
+        """(node, float coordinates, v) of vertex v, converted once."""
+        p = points.get(id(v))
+        if p is None:
+            vf = [float(x) for x in v]
+            p = points[id(v)] = (-math.fsum(c * x for c, x in zip(xf, vf)), vf, v)
+        return p
+
+    # exp[...] depends only on the sorted nodes, and simplices meeting at
+    # a vertex, or entries of one simplex, repeat node sets
+    dds = {}
+
+    def dd(nodes) -> float:
+        key = tuple(sorted(nodes))
+        val = dds.get(key)
+        if val is None:
+            val = dds[key] = exp_divided_difference(key)
+        return val
+
+    shift = max(point(v)[0] for s in simplices for v in s.vertices)
     nfact = math.factorial(n)
 
     c0_parts = []
     c1_parts = [[] for _ in range(n)]
     c2_parts = [[[] for _ in range(n)] for _ in range(n)]
     for s in simplices:
-        verts = [[float(x) for x in v] for v in s.vertices]
-        nodes = [node(v) - shift for v in s.vertices]
+        pts = [point(v) for v in s.vertices]
+        verts = [p[1] for p in pts]
+        nodes = [p[0] - shift for p in pts]
         w = nfact * float(s.volume())
-        c0_parts.append(w * exp_divided_difference(nodes))
+        c0_parts.append(w * dd(nodes))
         if order >= 1:
-            dd1 = [exp_divided_difference(nodes + [t]) for t in nodes]
+            dd1 = [dd(nodes + [t]) for t in nodes]
             for i in range(n):
                 c1_parts[i].append(
                     w * math.fsum(verts[k][i] * dd1[k] for k in range(len(nodes)))
@@ -300,11 +325,9 @@ def exp_moments(simplices, xi, order: int = 2):
             kk = len(nodes)
             c2 = [[0.0] * kk for _ in range(kk)]
             for k in range(kk):
-                c2[k][k] = 2.0 * exp_divided_difference(
-                    nodes + [nodes[k], nodes[k]]
-                )
+                c2[k][k] = 2.0 * dd(nodes + [nodes[k], nodes[k]])
                 for l in range(k + 1, kk):
-                    val = exp_divided_difference(nodes + [nodes[k], nodes[l]])
+                    val = dd(nodes + [nodes[k], nodes[l]])
                     c2[k][l] = val
                     c2[l][k] = val
             for i in range(n):

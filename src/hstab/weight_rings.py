@@ -517,7 +517,8 @@ def fit_b0_b1(T: WeightTable, xi) -> AsymptoticFit:
         )
     n = T.dim
     ms = np.arange(T.m_max // 2, T.m_max + 1, dtype=float)
-    y = np.array([total_weight(T, as_float_vector(xi, n), int(m)) for m in ms])
+    xf = as_float_vector(xi, n)
+    y = np.array([total_weight(T, xf, int(m)) for m in ms])
     # scale columns to O(1) for conditioning, then unscale the coefficients
     s = float(T.m_max)
     X = np.stack(
@@ -667,6 +668,11 @@ def dh_exp_moment(D: DHSample) -> float:
 # weight character
 
 
+def _character_sum(w, t: float) -> float:
+    """sum_m e^{-t m} w[m - 1] over the given weights w_1, w_2, ..."""
+    return math.fsum(math.exp(-t * m) * wm for m, wm in enumerate(w, 1))
+
+
 def weight_character(T: WeightTable, xi, t, m_cut: int) -> float:
     """C(xi, t) truncated at m_cut: sum_{m <= m_cut} e^{-t m} w_m(xi)."""
     t = float(t)
@@ -674,10 +680,7 @@ def weight_character(T: WeightTable, xi, t, m_cut: int) -> float:
         raise ValueError(f"character parameter t must be positive, got {t!r}")
     m_cut = T._check_degree(m_cut)
     xf = as_float_vector(xi, T.dim)
-    return math.fsum(
-        math.exp(-t * m) * total_weight(T, xf, m)
-        for m in range(1, m_cut + 1)
-    )
+    return _character_sum((total_weight(T, xf, m) for m in range(1, m_cut + 1)), t)
 
 
 def laurent_required_m_max() -> int:
@@ -712,10 +715,10 @@ def laurent_fit(T: WeightTable, xi) -> LaurentFit:
         )
     n = T.dim
     xf = as_float_vector(xi, n)
+    # each w_m once, shared by every t
+    w = [total_weight(T, xf, m) for m in range(1, T.m_max + 1)]
     ts = np.array(usable, dtype=float)
-    y = np.array(
-        [t ** (n + 2) * weight_character(T, xf, t, T.m_max) for t in usable]
-    )
+    y = np.array([t ** (n + 2) * _character_sum(w, t) for t in usable])
     X = np.stack([np.ones_like(ts), ts, ts**2], axis=1)
     coeffs, *_ = np.linalg.lstsq(X, y, rcond=None)
     return LaurentFit(

@@ -5,6 +5,7 @@ and compared against direct library calls, and the determinism contract
 (report bodies byte-identical across runs) is enforced on real output.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,38 @@ def test_report_bodies_byte_identical(runner):
     # (which carries the wall-clock duration) is dropped
     strip = lambda d: json.dumps(d["report"], sort_keys=True)
     assert strip(da) == strip(db)
+
+
+# recorded report digests of the benchmark's CLI catalogue; a key is
+# "<subcommand> <corpus name>[ <xi>]" (the bench runs optimize with --trace)
+REFERENCE_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def recorded_report_digests():
+    with open(REFERENCE_JSON, encoding="utf-8") as fh:
+        cli = json.load(fh)["cli"]
+    return {
+        key: ref["sha256"]
+        for key, ref in cli.items()
+        if key.split()[0] in ("optimize", "invariants")
+    }
+
+
+RECORDED_DIGESTS = recorded_report_digests()
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED_DIGESTS))
+def test_report_bytes_match_recorded_digests(runner, tmp_path, key):
+    """Every optimize and invariants report body re-serializes to the
+    recorded bytes, so a drift in any reported digit fails here."""
+    sub, name, *xi = key.split()
+    out = tmp_path / "report.json"
+    args = [sub, path_of(name)]
+    args += ["--xi", xi[0]] if xi else ["--trace"]
+    res = runner.invoke(main, args + ["--output", str(out)])
+    assert res.exit_code == 0, res.output
+    body = json.dumps(json.loads(out.read_text())["report"], indent=2).encode()
+    assert hashlib.sha256(body).hexdigest() == RECORDED_DIGESTS[key]
 
 
 def test_output_file_option(runner, tmp_path):

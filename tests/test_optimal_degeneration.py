@@ -450,3 +450,31 @@ def test_warm_caches_match_cold_bit_for_bit(polytopes, name):
             ), (xi, order)
         assert bits(inv.build_report(warm, xi)) == bits(inv.build_report(cold(), xi))
         assert bits(od.h_hessian(warm, xi)) == bits(od.h_hessian(cold(), xi))
+
+
+@pytest.mark.parametrize(
+    "a,b,calls", [("square", "square", 1), ("blowup_one", "square", 4)]
+)
+def test_final_state_reuses_the_last_evaluation(polytopes, monkeypatch, a, b, calls):
+    """A run that ends where the loop last evaluated (square x square
+    converges at iteration 0) takes no further moment pass for its final
+    gradient and Hessian; blowup_one x square evaluates its four iterates
+    once each."""
+    P = product(polytopes, a, b)
+    seen = []
+    grad_hess = od._grad_hess
+
+    def counted(*args, **kwargs):
+        seen.append(None)
+        return grad_hess(*args, **kwargs)
+
+    monkeypatch.setattr(od, "_grad_hess", counted)
+    got = od.maximize_h(P)
+    assert len(seen) == calls == got.iterations + 1
+    assert got.converged
+    assert bits((got.grad_norm, got.hessian_max_eigenvalue)) == bits(
+        (
+            float(np.linalg.norm(od.h_gradient(P, got.xi_star))),
+            float(np.linalg.eigvalsh(od.h_hessian(P, got.xi_star))[-1]),
+        )
+    )

@@ -6,6 +6,7 @@ far below double precision but exact in mpmath).  Integrals over 2-D
 simplices are cross-checked with scipy adaptive quadrature.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import hstab.lattice_geom as lg
+import hstab.optimal_degeneration as od
 import hstab.simplex_calculus as sc
+from hstab import corpus
 from hstab.errors import DegenerateSimplex
 from hstab.simplex_calculus import (
     AffineForm,
@@ -408,3 +412,264 @@ def test_exp_moments_large_direction_log_value():
     log_val = shift + math.log(i0)
     # log(2 sinh(500)/500) = 500 - log(500) + log1p(-e^{-1000})
     assert log_val == pytest.approx(500 - math.log(500), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one moment pass evaluates each distinct vertex and node set once
+
+
+def per_occurrence_exp_moments(simplices, xi, order=2):
+    """exp_moments as it was before the per-call deduplication: every
+    simplex converts its vertices and evaluates its divided differences
+    afresh.  Kept as the bit-for-bit oracle."""
+    simplices = list(simplices)
+    n = simplices[0].dim
+    xf = [float(c) for c in xi]
+
+    def node(v):
+        return -math.fsum(c * float(x) for c, x in zip(xf, v))
+
+    shift = max(node(v) for s in simplices for v in s.vertices)
+    nfact = math.factorial(n)
+    dd = exp_divided_difference
+    c0_parts = []
+    c1_parts = [[] for _ in range(n)]
+    c2_parts = [[[] for _ in range(n)] for _ in range(n)]
+    for s in simplices:
+        verts = [[float(x) for x in v] for v in s.vertices]
+        nodes = [node(v) - shift for v in s.vertices]
+        w = nfact * float(s.volume())
+        c0_parts.append(w * dd(nodes))
+        if order >= 1:
+            dd1 = [dd(nodes + [t]) for t in nodes]
+            for i in range(n):
+                c1_parts[i].append(
+                    w * math.fsum(verts[k][i] * dd1[k] for k in range(len(nodes)))
+                )
+        if order >= 2:
+            kk = len(nodes)
+            c2 = [[0.0] * kk for _ in range(kk)]
+            for k in range(kk):
+                c2[k][k] = 2.0 * dd(nodes + [nodes[k], nodes[k]])
+                for l in range(k + 1, kk):
+                    c2[k][l] = c2[l][k] = dd(nodes + [nodes[k], nodes[l]])
+            for i in range(n):
+                for j in range(i, n):
+                    acc = math.fsum(
+                        verts[k][i] * verts[l][j] * c2[k][l]
+                        for k in range(kk)
+                        for l in range(kk)
+                    )
+                    c2_parts[i][j].append(w * acc)
+    i0 = math.fsum(c0_parts)
+    i1 = [math.fsum(p) for p in c1_parts] if order >= 1 else None
+    i2 = None
+    if order >= 2:
+        i2 = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                i2[i][j] = i2[j][i] = math.fsum(c2_parts[i][j])
+    return shift, i0, i1, i2
+
+
+def hexbits(x):
+    """x with every float spelled as float.hex, recursively."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [hexbits(y) for y in x]
+    return x
+
+
+def assert_moments_match_oracle(simplices, xi):
+    for order in (0, 1, 2):
+        got = exp_moments(simplices, xi, order)
+        want = per_occurrence_exp_moments(simplices, xi, order)
+        assert hexbits(got) == hexbits(want), (xi, order)
+
+
+BENCH_PRODUCTS = (
+    ("square", "square"),
+    ("triangle", "triangle_dual"),
+    ("blowup_one", "square"),
+    ("blowup_one", "blowup_two"),
+    ("interval", "cube"),
+)
+
+
+def named_polytope(polytopes, name):
+    if name in polytopes:
+        return polytopes[name]
+    a, b = name.split("x")
+    pts = [u + w for u in polytopes[a].vertices for w in polytopes[b].vertices]
+    return lg.build_polytope(pts, name=name)
+
+
+def edge_vectors(P):
+    """v_j - v_i over vertex pairs whose common facets have normals of
+    rank n - 1, i.e. the edges of P."""
+    out = []
+    for i, j in itertools.combinations(range(len(P.vertices)), 2):
+        normals = [
+            f.normal for f in P.facets if i in f.vertex_ids and j in f.vertex_ids
+        ]
+        if normals and np.linalg.matrix_rank(np.array(normals, float)) == P.dim - 1:
+            out.append([int(a - b) for a, b in zip(P.vertices[j], P.vertices[i])])
+    return out
+
+
+def seeded_directions(P, seed, per_regime=2):
+    """Tiny, unit and large random directions, and dyadic directions
+    orthogonal to an edge of P (which make two nodes coincide)."""
+    rng = random.Random(seed)
+    n = P.dim
+    edges = edge_vectors(P)
+
+    def unit():
+        v = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        norm = math.sqrt(sum(c * c for c in v))
+        return [c / norm for c in v]
+
+    dirs = []
+    for _ in range(per_regime):
+        dirs.append([c * 1e-6 * 2.0 ** rng.uniform(-1.0, 1.0) for c in unit()])
+        dirs.append([c * rng.uniform(0.5, 1.5) for c in unit()])
+        dirs.append([c * rng.uniform(50.0, 300.0) for c in unit()])
+        if n == 1:
+            dirs.append([rng.choice([-1, 1]) * rng.randint(1, 12) / 8.0])
+            continue
+        e = rng.choice(edges)
+        ee = sum(c * c for c in e)
+        w = [0] * n
+        while not any(w):
+            r = [rng.randint(-3, 3) for _ in range(n)]
+            re = sum(a * b for a, b in zip(r, e))
+            w = [ee * a - re * b for a, b in zip(r, e)]
+        k = round(math.log2(math.sqrt(sum(c * c for c in w))))
+        dirs.append([c / 2.0**k for c in w])
+    return dirs
+
+
+@pytest.mark.parametrize(
+    "name", list(corpus.CORPUS_NAMES) + ["x".join(p) for p in BENCH_PRODUCTS]
+)
+def test_deduplicated_pass_matches_per_occurrence_oracle(polytopes, name):
+    P = named_polytope(polytopes, name)
+    simplices = lg.triangulate(P).simplices
+    for xi in [[0.0] * P.dim] + seeded_directions(P, name):
+        assert_moments_match_oracle(simplices, xi)
+
+
+def test_deduplicated_pass_matches_oracle_along_newton_iterates(polytopes):
+    P = named_polytope(polytopes, "blowup_onexblowup_two")
+    res = od.maximize_h(P, max_iter=5, keep_trace=True)
+    iterates = [entry["xi"] for entry in res.trace] + [res.xi_star.tolist()]
+    assert len(iterates) == 6
+    simplices = lg.triangulate(P).simplices
+    for xi in iterates:
+        assert_moments_match_oracle(simplices, xi)
+
+
+class FreshVertices:
+    """A simplex whose every ``vertices`` read builds new tuples, so a
+    vertex's id may be reused once the pass lets go of it."""
+
+    def __init__(self, S):
+        self._S = S
+        self.dim = S.dim
+
+    @property
+    def vertices(self):
+        return tuple(tuple(Fraction(x) for x in v) for v in self._S.vertices)
+
+    def volume(self):
+        return self._S.volume()
+
+
+def test_deduplicated_pass_with_unshared_equal_vertices(polytopes):
+    """Equal-valued vertices held by distinct objects, alone, mixed with
+    shared ones or rebuilt on every read, give the same bits as the
+    shared triangulation."""
+    P = named_polytope(polytopes, "blowup_onexsquare")
+    shared = lg.triangulate(P).simplices
+    fresh = [
+        Simplex(vertices=tuple(tuple(Fraction(x) for x in v) for v in s.vertices))
+        for s in shared
+    ]
+    assert not any(u is v for u, v in zip(shared[0].vertices, fresh[0].vertices))
+    mixed = [f if k % 2 else s for k, (s, f) in enumerate(zip(shared, fresh))]
+    rebuilt = [FreshVertices(s) for s in shared]
+    for xi in [[0.0] * 4] + seeded_directions(P, "unshared", per_regime=1):
+        want = [hexbits(exp_moments(shared, xi, order)) for order in (0, 1, 2)]
+        for simplices in (fresh, mixed, rebuilt):
+            assert_moments_match_oracle(simplices, xi)
+            got = [hexbits(exp_moments(simplices, xi, order)) for order in (0, 1, 2)]
+            assert got == want, xi
+
+
+def test_deduplicated_pass_with_signed_zero_nodes():
+    """Node sets that differ only in the sign of a zero, or in order, are
+    one key of the pass's memo (0.0 == -0.0 in a tuple), so each must give
+    the same bits, and signed-zero directions match the oracle."""
+    base_sets = (
+        [0.0, -0.0],
+        [0.0, -0.0, 0.0, 1.0],
+        [-0.0, 0.0, -2.5, 3e-5, -0.0],
+        [0.0, -0.0, -0.0, 1e-9, -1e-9, 0.0, -7.0],
+    )
+    for base in base_sets:
+        variants = set(itertools.permutations(base))
+        for zero in (0.0, -0.0):
+            variants.add(tuple(zero if t == 0 else t for t in base))
+        keys = {tuple(sorted(v)) for v in variants}
+        assert len(keys) == 1  # the memo sees one node set
+        vals = {exp_divided_difference(list(v)).hex() for v in variants}
+        assert len(vals) == 1, base
+    tris = [
+        simplex([(-1, 0), (1, 0), (0, 1)]),
+        simplex([(1, 0), (-1, 0), (0, -1)]),
+        simplex([(0, -1), (0, 1), (1, 1)]),
+    ]
+    for xi in (
+        [0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 1.0], [-0.0, -1.0], [1.0, -0.0]
+    ):
+        for perm in itertools.permutations(tris):
+            assert_moments_match_oracle(list(perm), xi)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_origin_pass_evaluates_three_node_sets(polytopes, monkeypatch):
+    """At xi = 0 every node is zero: an order-2 pass on square x square
+    needs exp over 5, 6 and 7 zeros, once each (1008 calls without the
+    per-call deduplication)."""
+    simplices = lg.triangulate(named_polytope(polytopes, "squarexsquare")).simplices
+    assert len(simplices) == 48
+    calls = count_calls(monkeypatch, sc, "exp_divided_difference")
+    exp_moments(simplices, [0.0] * 4, order=2)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_pass_converts_each_vertex_once(polytopes, monkeypatch, order):
+    """square x square: 48 simplices over 17 distinct vertices.  A pass
+    converts each vertex's 4 coordinates once and each volume once,
+    17*4 + 48 Fraction-to-float conversions (3*240*4 + 48 = 2928 when
+    every occurrence converted its vertex for node and coordinates)."""
+    simplices = lg.triangulate(named_polytope(polytopes, "squarexsquare")).simplices
+    assert len({v for s in simplices for v in s.vertices}) == 17
+    for s in simplices:
+        s.volume()
+    calls = count_calls(monkeypatch, Fraction, "__float__")
+    exp_moments(simplices, [0.25, -0.5, 0.125, 1.0], order)
+    assert len(calls) == 17 * 4 + 48

@@ -640,3 +640,86 @@ def test_direction_coercion_errors():
         wr.total_weight(T, (1.0,), 1)  # wrong length
     with pytest.raises(ValueError):
         wr.c0_bruteforce(T, (1.0, float("inf")), 1)
+
+
+def per_t_weight_character(T, xf, t, m_cut):
+    """weight_character as it was written before ``_character_sum``."""
+    return math.fsum(
+        math.exp(-t * m) * wr.total_weight(T, xf, m) for m in range(1, m_cut + 1)
+    )
+
+
+def per_t_laurent_fit(T, xi):
+    """laurent_fit as it was before the weights were shared: each usable t
+    recomputed every w_m through the character."""
+    usable = [
+        t
+        for t in wr.LAURENT_T_SAMPLES
+        if math.exp(-t * T.m_max) < wr.LAURENT_TRUNCATION
+    ]
+    n = T.dim
+    xf = wr.as_float_vector(xi, n)
+    ts = np.array(usable, dtype=float)
+    y = np.array(
+        [t ** (n + 2) * per_t_weight_character(T, xf, t, T.m_max) for t in usable]
+    )
+    X = np.stack([np.ones_like(ts), ts, ts**2], axis=1)
+    coeffs, *_ = np.linalg.lstsq(X, y, rcond=None)
+    return wr.LaurentFit(
+        b0=float(coeffs[0] / math.factorial(n + 1)),
+        b1=float(coeffs[1] / math.factorial(n)),
+    )
+
+
+def laurent_directions(n):
+    return [
+        (1.0,) * n,
+        tuple(0.3 * (-1) ** i for i in range(n)),
+        (-2.0,) + (1 / 3,) * (n - 1),
+    ]
+
+
+def assert_laurent_matches_per_t(T):
+    for xi in laurent_directions(T.dim):
+        xf = wr.as_float_vector(xi, T.dim)
+        for t in wr.LAURENT_T_SAMPLES:
+            got = wr.weight_character(T, xi, t, T.m_max)
+            assert got.hex() == per_t_weight_character(T, xf, t, T.m_max).hex()
+        if T.m_max < wr.laurent_required_m_max():
+            with pytest.raises(TruncationTooCoarse):
+                wr.laurent_fit(T, xi)
+            continue
+        got, want = wr.laurent_fit(T, xi), per_t_laurent_fit(T, xi)
+        assert [v.hex() for v in got] == [v.hex() for v in want], xi
+
+
+@pytest.mark.parametrize("depth", [48, 128])
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+def test_laurent_fit_bitwise_equal_to_per_t_loop(polytopes, name, depth):
+    assert_laurent_matches_per_t(wr.weight_table_toric(polytopes[name], depth))
+
+
+def test_laurent_fit_bitwise_equal_to_per_t_loop_on_csv(tmp_path):
+    """An asymmetric external table: weights k = -m..2m with multiplicity
+    1 + (k mod 3 == 0), so every w_m is nonzero."""
+    path = tmp_path / "lopsided.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("m,a1,dim\n")
+        for m in range(1, 129):
+            fh.writelines(f"{m},{k},{1 + (k % 3 == 0)}\n" for k in range(-m, 2 * m + 1))
+    T = wr.load_weight_table(path)
+    assert T.m_max == 128 and wr.total_weight(T, (1,), 128) != 0
+    assert_laurent_matches_per_t(T)
+
+
+def test_laurent_fit_reads_each_weight_once(polytopes, monkeypatch):
+    """One laurent_fit reads w_m once per degree (4 * m_max reads when
+    each of the 4 usable t recomputed them)."""
+    T = wr.weight_table_toric(polytopes["blowup_one"], 128)
+    calls = []
+    total_weight = wr.total_weight
+    monkeypatch.setattr(
+        wr, "total_weight", lambda *a: calls.append(a[2]) or total_weight(*a)
+    )
+    wr.laurent_fit(T, (1.0, 1.0))
+    assert sorted(calls) == list(range(1, 129))
