@@ -16,6 +16,10 @@ inputs (the manifest carries the wall-clock duration, the report never
 does).  Diagnostics go to stderr only.  Exit codes: 0 ok, 2 parse or
 invalid parameters, 3 not reflexive, 4 unbounded direction, 5
 non-convergence.
+
+``check`` and ``invariants`` run without numpy: ``weight_rings``,
+``optimal_degeneration`` and numpy are imported inside the subcommands
+that build arrays.
 """
 
 from __future__ import annotations
@@ -26,16 +30,13 @@ import math
 import sys
 import time
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 
 import click
-import numpy as np
 
 from . import __version__
 from . import invariants as inv
 from . import lattice_geom as lg
-from . import optimal_degeneration as od
-from . import weight_rings as wr
 from .errors import (
     DegeneratePolytope,
     EmptyDegree,
@@ -53,6 +54,10 @@ EXIT_NOT_REFLEXIVE = 3
 EXIT_UNBOUNDED = 4
 EXIT_NO_CONVERGENCE = 5
 
+# weight_rings.LAURENT_T_SAMPLES, spelled out so that importing this module
+# does not load weight_rings; a test keeps the two equal
+LAURENT_T_DEFAULT = "0.5,0.4,0.3,0.25,0.2"
+
 
 def _fail(code: int, message) -> None:
     click.echo(f"error: {message}", err=True)
@@ -61,23 +66,29 @@ def _fail(code: int, message) -> None:
 
 def _jsonify(value):
     """Deterministic JSON form: floats as 17-significant-digit decimal
-    strings, rationals as 'p/q', containers recursively."""
+    strings, rationals as 'p/q', containers recursively.  numpy values are
+    recognised without importing numpy: its floating scalars are Reals,
+    its integer scalars Integrals, and an array is anything whose
+    ``tolist()`` gives a list (or, at 0-d, a number)."""
     if isinstance(value, bool):
         return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Integral):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, Real):
         return format(float(value), ".17g")
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if value is None or isinstance(value, str):
         return value
+    items = value.tolist() if hasattr(value, "tolist") else None
+    if isinstance(items, list):
+        return [_jsonify(v) for v in items]
+    if isinstance(items, Real) and not isinstance(items, bool):
+        return _jsonify(items)
     return str(value)
 
 
@@ -190,6 +201,8 @@ def cmd_invariants(path: str, xi_text: str, oracle_m, output) -> None:
         "jensen_gap": report.jensen_gap,
     }
     if oracle_m is not None:
+        from . import weight_rings as wr
+
         try:
             table = wr.weight_table_toric(P, oracle_m)
             fit = wr.fit_b0_b1(table, xi)
@@ -223,6 +236,8 @@ def cmd_invariants(path: str, xi_text: str, oracle_m, output) -> None:
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def cmd_optimize(path: str, tol: float, max_iter: int, trace: bool, output) -> None:
     """Maximize H over torus directions; report the stability verdict."""
+    from . import optimal_degeneration as od
+
     t0 = time.monotonic()
     P = _load_polytope(path)
     try:
@@ -274,6 +289,10 @@ def cmd_optimize(path: str, tol: float, max_iter: int, trace: bool, output) -> N
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def cmd_dh(path: str, xi_text: str, m: int, bins, output) -> None:
     """Duistermaat-Heckman sample of the toric weight table at degree m."""
+    import numpy as np
+
+    from . import weight_rings as wr
+
     t0 = time.monotonic()
     P = _load_polytope(path)
     xi = _parse_xi(xi_text, P.dim)
@@ -291,7 +310,7 @@ def cmd_dh(path: str, xi_text: str, m: int, bins, output) -> None:
     body = {
         "polytope_name": P.name,
         "dim": P.dim,
-        "xi": [float(c) for c in wr.as_float_vector(xi, P.dim)],
+        "xi": list(lg.as_float_vector(xi, P.dim)),
         "m": m,
         "n_atoms": int(sample.lambdas.size),
         "exp_moment": moment,
@@ -318,6 +337,8 @@ def cmd_dh(path: str, xi_text: str, m: int, bins, output) -> None:
 def _load_character_input(path: str):
     """Polytope JSON or weight-table CSV, decided by content: JSON
     documents parse as JSON, everything else is treated as CSV."""
+    from . import weight_rings as wr
+
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.read(1)
     if head == "{":
@@ -334,7 +355,7 @@ def _load_character_input(path: str):
 @click.option(
     "--t",
     "t_text",
-    default=",".join(str(t) for t in wr.LAURENT_T_SAMPLES),
+    default=LAURENT_T_DEFAULT,
     show_default=True,
     help="comma-separated t values for the sample table",
 )
@@ -348,6 +369,8 @@ def _load_character_input(path: str):
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def cmd_character(path: str, xi_text: str, t_text: str, m_max: int, output) -> None:
     """Weight-character samples C(xi, t) and the Laurent-coefficient fit."""
+    from . import weight_rings as wr
+
     t0 = time.monotonic()
     P, table = _load_character_input(path)
     if table is None:
@@ -379,12 +402,12 @@ def cmd_character(path: str, xi_text: str, t_text: str, m_max: int, output) -> N
         "source": table.source,
         "dim": table.dim,
         "m_max": table.m_max,
-        "xi": [float(c) for c in wr.as_float_vector(xi, table.dim)],
+        "xi": list(lg.as_float_vector(xi, table.dim)),
         "samples": samples,
         "laurent": {"b0": fit.b0, "b1": fit.b1},
     }
     if P is not None:
-        b0, b1 = wr.b0_b1_exact(P, xi)
+        b0, b1 = lg.b0_b1_exact(P, xi)
         body["exact"] = {
             "b0": b0,
             "b1": b1,

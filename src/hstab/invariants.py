@@ -22,12 +22,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import lattice_geom as lg
 from .errors import NotReflexive
+from .lattice_geom import as_exact_vector, as_float_vector, b0_b1_exact
 from .simplex_calculus import exp_moments
-from .weight_rings import as_exact_vector, as_float_vector, b0_b1_exact
 
 
 def require_reflexive(P) -> None:
@@ -38,7 +36,7 @@ def require_reflexive(P) -> None:
         )
 
 
-def _log_ratio_b0_b1(P, xf: np.ndarray):
+def _log_ratio_b0_b1(P, xf: tuple):
     """(log(c0/V), b0, b1) at a float direction from one moment pass;
     log(c0/V) is computed fully in log space, so the n! cancels."""
     shift, i0, _, _ = exp_moments(lg.triangulate(P).simplices, xf, order=0)
@@ -69,7 +67,7 @@ def _gap(P, log_ratio: float, b0, b1) -> float:
 def h_raw(P, xi) -> float:
     """H without the reflexivity gate (used on translates)."""
     xf = as_float_vector(xi, P.dim)
-    if not np.any(xf):
+    if not any(xf):
         return 0.0  # exact normalization: c0(0) = V and b1(0) = 0
     log_ratio, _, b1 = _log_ratio_b0_b1(P, xf)
     return _h(P, log_ratio, b1)
@@ -99,7 +97,7 @@ def jensen_gap(P, xi) -> float:
     n! b0 + V log(c0/V) and checked against the literal difference."""
     require_reflexive(P)
     xf = as_float_vector(xi, P.dim)
-    if not np.any(xf):
+    if not any(xf):
         return 0.0
     return _gap(P, *_log_ratio_b0_b1(P, xf))
 
@@ -161,7 +159,7 @@ def build_report(P, xi) -> InvariantReport:
     # b0/b1 are reported at the exact direction; H and the gap use the
     # float direction, as h_invariant and jensen_gap do.  The two are one
     # direction unless xi was given as exact "p/q" strings.
-    if np.any(xf):
+    if any(xf):
         log_ratio, b0_f, b1_f = _log_ratio_b0_b1(P, xf)
         log_c0 = math.log(math.factorial(n) * float(vol)) + log_ratio
         # c0 itself can overflow a double long before its logarithm does
@@ -172,7 +170,7 @@ def build_report(P, xi) -> InvariantReport:
         log_ratio = 0.0
         c0 = float(v)
         h = gap = 0.0
-    if np.any(xf) and xe == as_exact_vector(xf, n):
+    if any(xf) and xe == as_exact_vector(xf, n):
         b0, b1 = b0_f, b1_f
     else:
         b0, b1 = b0_b1_exact(P, xe)
@@ -191,7 +189,7 @@ def build_report(P, xi) -> InvariantReport:
     return InvariantReport(
         polytope_name=P.name,
         dim=n,
-        xi=tuple(xf.tolist()),
+        xi=xf,
         volume=vol,
         normalized_volume=v,
         c0=c0,

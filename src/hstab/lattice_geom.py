@@ -16,7 +16,12 @@ The lattice points of mP are read as rows: for each prefix
 (x_1, ..., x_{n-1}) the last coordinate runs over one integer interval cut
 from the facet inequalities.  ``lattice_points`` expands the rows, already
 in lex order, and ``lattice_stats`` sums them (count, moment vector,
-largest squared norm) without ever building a point.
+largest squared norm) without ever building a point.  These three
+lattice-enumeration functions are the only ones here that import numpy,
+and they do it when called.
+
+Torus directions are coerced here too, by one rule: ``as_exact_vector``
+gives Fractions and ``as_float_vector`` a tuple of finite floats.
 
 Derived data (triangulation, volume, moment vectors) is memoized on the
 polytope itself, so it lives exactly as long as the polytope does.  The
@@ -44,10 +49,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from numbers import Number, Rational
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DegeneratePolytope, NonRationalInput, ParseError
 from .simplex_calculus import (
@@ -57,6 +60,9 @@ from .simplex_calculus import (
     _int_det,
     integral_linear_simplex,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Point = tuple  # tuple[Fraction, ...]; alias only for readability
 
@@ -88,6 +94,40 @@ def as_rational(x) -> Fraction:
 
 def as_rational_point(p) -> Point:
     return tuple(as_rational(c) for c in p)
+
+
+def _direction_entries(xi) -> list:
+    """The entries of a torus direction; a lone number, string or numpy
+    scalar (which has a dtype but does not iterate) is one entry."""
+    if isinstance(xi, (Number, str, bytes)) or (
+        hasattr(xi, "dtype") and not hasattr(xi, "__iter__")
+    ):
+        return [xi]
+    return list(xi)
+
+
+def as_float_vector(xi, dim: int) -> tuple:
+    """Coerce a torus direction to a tuple of dim finite floats.
+    Scalars are accepted when dim == 1; strings go through the exact
+    rational parser, so '1/3' is fine."""
+    vec = tuple(
+        float(as_rational(c)) if isinstance(c, str) else float(c)
+        for c in _direction_entries(xi)
+    )
+    if len(vec) != dim:
+        raise ValueError(f"direction has shape {(len(vec),)}, expected ({dim},)")
+    if not all(math.isfinite(c) for c in vec):
+        raise ValueError("direction entries must be finite")
+    return vec
+
+
+def as_exact_vector(xi, dim: int) -> tuple:
+    """Coerce a torus direction to exact Fractions (floats are taken at
+    their exact binary value)."""
+    vec = tuple(as_rational(c) for c in _direction_entries(xi))
+    if len(vec) != dim:
+        raise ValueError(f"direction has length {len(vec)}, expected {dim}")
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +582,20 @@ def barycenter(P: LatticePolytope) -> tuple:
     return tuple(m / v for m in moment_vector(P))
 
 
+def b0_b1_exact(P: LatticePolytope, xi):
+    """Exact growth coefficients of the total weight:
+    b0 = int_P <x, xi> dx and b1 = (1/2) int_{dP} <x, xi> dsigma,
+    as Fractions (exact whenever xi is; floats enter at their exact
+    binary value)."""
+    xe = as_exact_vector(xi, P.dim)
+    b0 = sum((mi * ci for mi, ci in zip(moment_vector(P), xe)), Fraction(0))
+    b1 = sum(
+        (bi * ci for bi, ci in zip(boundary_moment_vector(P), xe)),
+        Fraction(0),
+    ) / 2
+    return b0, b1
+
+
 # ---------------------------------------------------------------------------
 # lattice point enumeration
 
@@ -559,6 +613,8 @@ def _lattice_rows(P: LatticePolytope, m: int):
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"dilation factor must be a positive integer, got {m!r}")
+    import numpy as np
+
     n = P.dim
     lo = [-((-m * min(v[i] for v in P.vertices)) // 1) for i in range(n)]
     hi = [(m * max(v[i] for v in P.vertices)) // 1 for i in range(n)]
@@ -595,6 +651,8 @@ def _lattice_rows(P: LatticePolytope, m: int):
 def lattice_points(P: LatticePolytope, m: int = 1) -> np.ndarray:
     """Integer points of the dilation mP as a C-contiguous (N, n) int64
     array in lexicographic row order, expanded from ``_lattice_rows``."""
+    import numpy as np
+
     prefixes, lo, hi = _lattice_rows(P, m)
     counts = hi - lo + 1
     # each row's first point with its last coordinate moved back by the
@@ -619,6 +677,8 @@ def lattice_stats(P: LatticePolytope, m: int = 1) -> LatticeStats:
     lo..hi over prefix x' holds hi - lo + 1 points, adds x' times that to
     the first n - 1 coordinates and (lo + hi)(hi - lo + 1)/2 to the last.
     """
+    import numpy as np
+
     prefixes, lo, hi = _lattice_rows(P, m)
     biggest = max(int(np.abs(a).max(initial=0)) for a in (prefixes, lo, hi))
     if (len(lo) + P.dim) * (2 * biggest + 1) * biggest >= 2**62:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from . import lattice_geom as lg
 from .errors import Inconclusive
 from .invariants import df_raw, h_raw, require_reflexive
 from .simplex_calculus import exp_moments
-from .weight_rings import as_float_vector
 
 # shift the Newton system so its top eigenvalue is at most this
 _EIGENVALUE_FLOOR = -1e-8
@@ -41,7 +40,7 @@ def _boundary_moment_float(P) -> np.ndarray:
     return np.array([float(b) for b in lg.boundary_moment_vector(P)])
 
 
-def _grad_hess(P, xf: np.ndarray, order: int):
+def _grad_hess(P, xf: Sequence[float], order: int):
     """Gradient of H and, at order 2, its exactly symmetrized Hessian (else
     None) from one moment pass; the Gibbs mean and covariance are the
     normalized first and centred second moments."""
@@ -59,20 +58,20 @@ def _grad_hess(P, xf: np.ndarray, order: int):
 def h_gradient(P, xi) -> np.ndarray:
     """Gradient of H: V * (Gibbs mean) - (n-1)! * (boundary moments)."""
     require_reflexive(P)
-    return _grad_hess(P, as_float_vector(xi, P.dim), order=1)[0]
+    return _grad_hess(P, lg.as_float_vector(xi, P.dim), order=1)[0]
 
 
 def h_hessian(P, xi) -> np.ndarray:
     """Hessian of H: the negated Gibbs covariance scaled by V, symmetrized
     exactly; negative definite for full-dimensional P."""
     require_reflexive(P)
-    return _grad_hess(P, as_float_vector(xi, P.dim), order=2)[1]
+    return _grad_hess(P, lg.as_float_vector(xi, P.dim), order=2)[1]
 
 
 def recession_slope(P, eta) -> float:
     """Asymptotic slope lim H(s eta)/s along a unit direction."""
     require_reflexive(P)
-    ef = as_float_vector(eta, P.dim)
+    ef = np.array(lg.as_float_vector(eta, P.dim))
     norm = float(np.linalg.norm(ef))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, |eta| = {norm}")

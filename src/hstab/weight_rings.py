@@ -9,9 +9,9 @@ multiplicities load from CSV.
 Everything downstream of a table is a statistic of the pairs (alpha, dim):
 total weights and their growth coefficients (b0, b1), the normalized
 partition sums c0, Duistermaat-Heckman samples, and the weight character
-with its Laurent-coefficient fit.  The continuum counterparts (c0_exact,
-b0_b1_exact) are computed from the polytope by exact triangulation and the
-exponential simplex integrals.
+with its Laurent-coefficient fit.  The continuum counterparts (c0_exact
+here, ``lattice_geom.b0_b1_exact``) are computed from the polytope by exact
+triangulation and the exponential simplex integrals.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     TruncationTooCoarse,
 )
+from .lattice_geom import as_exact_vector, b0_b1_exact
 from .simplex_calculus import _safe_exp, exp_moments
 
 # t samples for the weight-character Laurent fit; fixed for reproducibility
@@ -44,37 +45,12 @@ _LAURENT_MIN_SAMPLES = 3
 
 
 def as_float_vector(xi, dim: int) -> np.ndarray:
-    """Coerce a torus direction to a finite float vector of length dim.
-    Scalars are accepted when dim == 1; strings go through the exact
-    rational parser, so '1/3' is fine."""
-    if np.isscalar(xi) or isinstance(xi, Fraction):
-        xi = [xi]
-    arr = np.array(
-        [float(lg.as_rational(c)) if isinstance(c, str) else float(c) for c in xi],
-        dtype=float,
-    )
-    if arr.shape != (dim,):
-        raise ValueError(f"direction has shape {arr.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("direction entries must be finite")
-    return arr
-
-
-def as_exact_vector(xi, dim: int) -> tuple:
-    """Coerce a torus direction to exact Fractions (floats are taken at
-    their exact binary value)."""
-    if np.isscalar(xi) or isinstance(xi, Fraction):
-        xi = [xi]
-    vec = tuple(lg.as_rational(c) for c in xi)
-    if len(vec) != dim:
-        raise ValueError(f"direction has length {len(vec)}, expected {dim}")
-    return vec
+    """``lattice_geom.as_float_vector`` as a float64 array."""
+    return np.array(lg.as_float_vector(xi, dim))
 
 
 def _is_float_like(xi) -> bool:
-    if np.isscalar(xi) and not isinstance(xi, (str, bytes)):
-        return isinstance(xi, (float, np.floating))
-    return any(isinstance(c, (float, np.floating)) for c in xi)
+    return any(isinstance(c, (float, np.floating)) for c in lg._direction_entries(xi))
 
 
 class WeightTable:
@@ -486,22 +462,6 @@ class AsymptoticFit(NamedTuple):
 class LaurentFit(NamedTuple):
     b0: float
     b1: float
-
-
-def b0_b1_exact(P, xi):
-    """Exact growth coefficients of the total weight:
-    b0 = int_P <x, xi> dx and b1 = (1/2) int_{dP} <x, xi> dsigma,
-    as Fractions (exact whenever xi is; floats enter at their exact
-    binary value)."""
-    xe = as_exact_vector(xi, P.dim)
-    b0 = sum(
-        (mi * ci for mi, ci in zip(lg.moment_vector(P), xe)), Fraction(0)
-    )
-    b1 = sum(
-        (bi * ci for bi, ci in zip(lg.boundary_moment_vector(P), xe)),
-        Fraction(0),
-    ) / 2
-    return b0, b1
 
 
 def fit_b0_b1(T: WeightTable, xi) -> AsymptoticFit:

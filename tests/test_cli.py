@@ -14,12 +14,14 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hstab.cli as cli
 import hstab.invariants as inv
 import hstab.lattice_geom as lg
 import hstab.optimal_degeneration as od
@@ -279,7 +281,7 @@ def test_optimize_exit_5_on_max_iterations(runner, monkeypatch):
         iterations=1,
         flat_direction=False,
     )
-    monkeypatch.setattr("hstab.cli.od.maximize_h", lambda P, **kw: fake)
+    monkeypatch.setattr("hstab.optimal_degeneration.maximize_h", lambda P, **kw: fake)
     res = runner.invoke(main, ["optimize", path_of("blowup_one")])
     assert res.exit_code == 5
     rep = json.loads(res.output)["report"]
@@ -298,7 +300,7 @@ def test_optimize_exit_4_on_unbounded(runner, monkeypatch):
         flat_direction=False,
         direction=np.array([1.0, 1.0]) / math.sqrt(2),
     )
-    monkeypatch.setattr("hstab.cli.od.maximize_h", lambda P, **kw: fake)
+    monkeypatch.setattr("hstab.optimal_degeneration.maximize_h", lambda P, **kw: fake)
     res = runner.invoke(main, ["optimize", path_of("blowup_one")])
     assert res.exit_code == 4
     rep = json.loads(res.output)["report"]
@@ -433,6 +435,77 @@ def test_character_csv_parse_error_exit_2(runner, tmp_path):
     res = runner.invoke(main, ["character", str(p), "--xi", "1"])
     assert res.exit_code == 2
     assert "line 3" in res.output
+
+
+def test_character_help_shows_the_laurent_t_samples(runner):
+    res = runner.invoke(main, ["character", "--help"])
+    assert res.exit_code == 0
+    default = ",".join(str(t) for t in wr.LAURENT_T_SAMPLES)
+    assert default == "0.5,0.4,0.3,0.25,0.2" == cli.LAURENT_T_DEFAULT
+    assert f"default: {default}" in " ".join(res.output.split())
+
+
+# ---------------------------------------------------------------------------
+# report serialization
+
+
+def numpy_jsonify(value):
+    """_jsonify as it was written on numpy, before numpy was imported lazily."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Integral):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, np.ndarray):
+        return [numpy_jsonify(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [numpy_jsonify(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): numpy_jsonify(v) for k, v in value.items()}
+    if value is None or isinstance(value, str):
+        return value
+    return str(value)
+
+
+JSON_VALUES = [
+    np.float32(0.1),
+    np.float64(1 / 3),
+    np.float64(-0.0),
+    np.longdouble(0.1),
+    np.int64(-7),
+    np.uint8(200),
+    np.bool_(True),
+    np.array([[1.5, -2.0], [1e-310, 4.0]]),
+    np.array([[1, 2], [3, 4]], dtype=np.int64),
+    np.array([], dtype=float),
+    [[Fraction(1, 3), 0.1], (True, None), {"a": [np.float64(2.5)], 3: "x"}],
+    Fraction(-2, 7),
+    True,
+    False,
+    1e308 * 10,
+    complex(1, 2),
+]
+
+
+def dumped(fn, value):
+    return json.dumps({"report": fn(value)}, indent=2)
+
+
+@pytest.mark.parametrize("value", JSON_VALUES, ids=repr)
+def test_jsonify_bytes_match_numpy_implementation(value):
+    assert dumped(cli._jsonify, value) == dumped(numpy_jsonify, value)
+
+
+@pytest.mark.parametrize("value", [np.array(2.5), np.array(-7), np.array(0.1, np.float32)])
+def test_jsonify_0d_array_is_its_item(value):
+    """The numpy form iterated a 0-d array's scalar and raised TypeError;
+    a 0-d array now serializes as its item would."""
+    with pytest.raises(TypeError):
+        numpy_jsonify(value)
+    assert dumped(cli._jsonify, value) == dumped(numpy_jsonify, value.item())
 
 
 # ---------------------------------------------------------------------------

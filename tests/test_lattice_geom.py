@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import hstab.lattice_geom as lg
+import hstab.weight_rings as wr
 from hstab import corpus
 from hstab.errors import DegeneratePolytope, NonRationalInput, ParseError
 from hstab.simplex_calculus import AffineForm, Simplex, _det, _dot, _int_det
@@ -829,6 +830,99 @@ def test_interior_integral_matches_moments():
     P = corpus.load_corpus("blowup_one")
     x0 = AffineForm.coordinate(0, dim=2)
     assert lg.interior_integral(P, x0) == lg.moment_vector(P)[0] == Fraction(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# direction coercion
+
+
+def numpy_as_float_vector(xi, dim):
+    """as_float_vector as it was written in weight_rings, on numpy."""
+    if np.isscalar(xi) or isinstance(xi, Fraction):
+        xi = [xi]
+    arr = np.array(
+        [float(lg.as_rational(c)) if isinstance(c, str) else float(c) for c in xi],
+        dtype=float,
+    )
+    if arr.shape != (dim,):
+        raise ValueError(f"direction has shape {arr.shape}, expected ({dim},)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("direction entries must be finite")
+    return arr
+
+
+def numpy_as_exact_vector(xi, dim):
+    """as_exact_vector as it was written in weight_rings, on numpy."""
+    if np.isscalar(xi) or isinstance(xi, Fraction):
+        xi = [xi]
+    vec = tuple(lg.as_rational(c) for c in xi)
+    if len(vec) != dim:
+        raise ValueError(f"direction has length {len(vec)}, expected {dim}")
+    return vec
+
+
+DIRECTIONS = [
+    0.3,
+    -2,
+    Fraction(-1, 3),
+    "1/3",
+    " -2/5 ",
+    np.float64(0.1),
+    np.int64(-7),
+    np.float32(0.1),
+    [0.1, "1/3", Fraction(2, 7)],
+    (1, -2),
+    (np.float64(1e-300), np.int64(3)),
+    np.array([0.25, -1e17, 3.0]),
+    np.array([1, 2], dtype=np.int64),
+    np.array([[0.5]]),  # rows of length one coerce through float()
+    [True, False],
+    np.bool_(True),
+    [],
+    (),
+]
+
+
+def outcome(fn, xi, dim):
+    try:
+        return fn(xi, dim)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("xi", DIRECTIONS, ids=repr)
+def test_direction_coercion_matches_numpy_rule(xi):
+    n = len(lg._direction_entries(xi))
+    for dim in {n, n + 1, 1}:
+        want = outcome(numpy_as_float_vector, xi, dim)
+        got = outcome(lg.as_float_vector, xi, dim)
+        if isinstance(want, np.ndarray):
+            assert type(got) is tuple and all(type(c) is float for c in got)
+            assert [c.hex() for c in got] == [c.hex() for c in want.tolist()]
+            arr = wr.as_float_vector(xi, dim)
+            assert arr.dtype == np.float64 and arr.tobytes() == want.tobytes()
+        else:
+            assert got == want, dim
+        assert outcome(lg.as_exact_vector, xi, dim) == outcome(
+            numpy_as_exact_vector, xi, dim
+        ), dim
+
+
+@pytest.mark.parametrize(
+    "xi", [float("nan"), [1.0, float("inf")], np.array([-np.inf]), "1/0", "frog", None]
+)
+def test_direction_coercion_errors_match_numpy_rule(xi):
+    for dim in (1, 2):
+        want = outcome(numpy_as_float_vector, xi, dim)
+        assert isinstance(want, tuple) and issubclass(want[0], Exception)
+        assert outcome(lg.as_float_vector, xi, dim) == want
+        assert outcome(lg.as_exact_vector, xi, dim) == outcome(
+            numpy_as_exact_vector, xi, dim
+        )
+
+
+def test_b0_b1_exact_is_one_function():
+    assert wr.b0_b1_exact is lg.b0_b1_exact
 
 
 # ---------------------------------------------------------------------------
