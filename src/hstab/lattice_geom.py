@@ -23,11 +23,15 @@ and they do it when called.
 Torus directions are coerced here too, by one rule: ``as_exact_vector``
 gives Fractions and ``as_float_vector`` a tuple of finite floats.
 
-Derived data (triangulation, volume, moment vectors) is memoized on the
-polytope itself, so it lives exactly as long as the polytope does.  The
-volume and the interior and boundary moment vectors come from one pass
-over the triangulation: each cone's volume (its simplex's own
-determinant) and each facet piece's measure times its centroid.
+Derived data (reflexivity, triangulation, volume, moment vectors) is
+memoized on the polytope itself, so it lives exactly as long as the
+polytope does.  Determinants are taken in Python ints: the vertices (and
+the triangulation base) are scaled by their common denominator D, which
+is 1 for a lattice polytope.  The volume and the interior and boundary
+moment vectors come from one integer pass over the triangulation: each
+cone's volume (its simplex's own determinant) and each facet piece's
+measure times its vertex sum, with one Fraction built per output
+coordinate.
 
 Conventions:
   * A polytope is stored by its lex-sorted vertex matrix together with its
@@ -50,7 +54,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Number, Rational
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DegeneratePolytope, NonRationalInput, ParseError
 from .simplex_calculus import (
@@ -58,6 +62,7 @@ from .simplex_calculus import (
     Simplex,
     _dot,
     _int_det,
+    _scaled_points,
     integral_linear_simplex,
 )
 
@@ -131,30 +136,7 @@ def as_exact_vector(xi, dim: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (small dense systems over Fraction)
-
-
-def _rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    a = [list(r) for r in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        for r in range(rank + 1, len(a)):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, ncols):
-                    a[r][c] -= f * a[rank][c]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+# convex hull: exact double description
 
 
 def _primitive_outward(normal: Sequence[int], offset):
@@ -164,10 +146,6 @@ def _primitive_outward(normal: Sequence[int], offset):
     if g == 0:
         raise ValueError("zero normal cannot be primitivized")
     return tuple(v // g for v in normal), Fraction(offset) / g
-
-
-# ---------------------------------------------------------------------------
-# convex hull: exact double description
 
 
 def _kernel_vector(rows: Sequence[Sequence[int]]) -> list:
@@ -205,14 +183,21 @@ def _hull_facets(points: Sequence[Point], d: int):
     # has the sign of <a, p_i> - c
     rows = []
     for p in points:
-        den = math.lcm(*(x.denominator for x in p))
-        rows.append(tuple(int(x * den) for x in p) + (-den,))
+        den, (row,) = _scaled_points([p])
+        rows.append((*row, -den))
 
-    seed = []
-    for i in range(len(rows)):
-        exact = [[Fraction(x) for x in rows[j]] for j in seed + [i]]
-        if _rank(exact) > len(seed):
+    # the seed is the first d + 1 independent rows: each row is reduced,
+    # fraction-free, against the echelon rows kept so far
+    seed, echelon = [], []
+    for i, row in enumerate(rows):
+        for piv, kept in echelon:
+            f, g = row[piv], kept[piv]
+            if f:
+                row = [g * x - f * y for x, y in zip(row, kept)]
+        piv = next((c for c, x in enumerate(row) if x), None)
+        if piv is not None:
             seed.append(i)
+            echelon.append((piv, row))
             if len(seed) == d + 1:
                 break
     else:
@@ -355,6 +340,21 @@ def translate(P: LatticePolytope, u) -> LatticePolytope:
     )
 
 
+def _memoized(fn):
+    """Compute fn(P) once per polytope and keep it in P's own memo, so it
+    lives exactly as long as P and a lookup hashes nothing of P."""
+
+    @functools.wraps(fn)
+    def memoized(P: LatticePolytope):
+        memo = P._memo
+        if fn.__name__ not in memo:
+            memo[fn.__name__] = fn(P)
+        return memo[fn.__name__]
+
+    return memoized
+
+
+@_memoized
 def is_reflexive(P: LatticePolytope) -> bool:
     """True when P has integer vertices and every facet offset equals 1
     (so the origin is strictly interior at lattice distance 1 from every
@@ -417,34 +417,20 @@ def _fan_face(face: frozenset, facets: Sequence[frozenset], d: int):
     return sorted(simplices)
 
 
-def _facet_measure(piece: Sequence[Point], normal) -> Fraction:
+def _facet_measure(
+    piece: Sequence[Sequence[int]], normal, den: int
+) -> Fraction:
     """Lattice-normalized measure of an (n-1)-simplex lying in a facet with
     primitive integer normal v:  |det(edges, v)| / ((n-1)! * <v, v>).
-    The vertices are scaled by their common denominator D, so the edge rows
+    ``piece`` holds the vertices scaled to integers by D, so the edge rows
     are integers and det(D * edges, v) = D^(n-1) det(edges, v)."""
     n = len(normal)
-    den = math.lcm(*(x.denominator for p in piece for x in p))
-    scaled = [[x.numerator * (den // x.denominator) for x in p] for p in piece]
-    rows = [[a - b for a, b in zip(p, scaled[0])] for p in scaled[1:]]
+    rows = [[a - b for a, b in zip(p, piece[0])] for p in piece[1:]]
     rows.append(list(normal))
     return Fraction(
         abs(_int_det(rows)),
         den ** (n - 1) * math.factorial(n - 1) * sum(v * v for v in normal),
     )
-
-
-def _memoized(fn):
-    """Compute fn(P) once per polytope and keep it in P's own memo, so it
-    lives exactly as long as P and a lookup hashes nothing of P."""
-
-    @functools.wraps(fn)
-    def memoized(P: LatticePolytope):
-        memo = P._memo
-        if fn.__name__ not in memo:
-            memo[fn.__name__] = fn(P)
-        return memo[fn.__name__]
-
-    return memoized
 
 
 def _star_triangulation(P: LatticePolytope, base) -> SimplicialDecomposition:
@@ -460,6 +446,7 @@ def _star_triangulation(P: LatticePolytope, base) -> SimplicialDecomposition:
     if not all(_dot(f.normal, base) < f.offset for f in P.facets):
         raise ValueError(f"triangulation base {base} is not strictly interior")
 
+    den, scaled = _scaled_points(P.vertices)
     facet_sets = [frozenset(f.vertex_ids) for f in P.facets]
     simplices = []
     pieces = []
@@ -470,7 +457,9 @@ def _star_triangulation(P: LatticePolytope, base) -> SimplicialDecomposition:
                 FacetPiece(
                     facet_id=fid,
                     vertices=tri,
-                    measure=_facet_measure(tri, facet.normal),
+                    measure=_facet_measure(
+                        [scaled[i] for i in ids], facet.normal, den
+                    ),
                 )
             )
             simplices.append(Simplex(vertices=(base,) + tri))
@@ -508,25 +497,50 @@ def triangulate(
 @_memoized
 def _moments(P: LatticePolytope) -> tuple:
     """(volume, moment vector, boundary moment vector) of P in one pass
-    over the default triangulation.  A cone S adds vol(S) and vol(S) times
-    its centroid, the vertex sum over n + 1; a facet piece adds its measure
-    times its vertex sum over n.  Cone volumes are the simplices' own
-    determinants, never the facet measures, so the boundary identity
-    sigma(dP) = n vol(P) stays a check of two independent computations."""
+    over the default triangulation, summed in Python ints.
+
+    P's vertices and the triangulation base are scaled to integers by
+    their common denominator D, so with n! D^n vol(S) = w_S for a cone S
+    and (n-1)! D^(n-1) <v_F, v_F> sigma(T) = m_T for a facet piece T in F,
+    both integers,
+
+        vol    = sum w_S / (n! D^n)
+        mom_i  = sum w_S (S's scaled vertex sum)_i / (n! D^(n+1) (n + 1))
+        bmom_i = sum m_T (T's scaled vertex sum)_i / ((n-1)! D^n <v_F, v_F> n)
+
+    and one Fraction is built per output coordinate, over the lcm of the
+    <v_F, v_F>.  w_S is the simplex's own determinant and m_T the
+    triangulation's facet measure, each read back as an integer, so the
+    boundary identity sigma(dP) = n vol(P) stays a check of two
+    independent determinants."""
     n = P.dim
     dec = triangulate(P)
-    vol = Fraction(0)
-    mom = [Fraction(0)] * n
-    for s in dec.simplices:
+    pts = P.vertices + (dec.base,)
+    den, rows = _scaled_points(pts)
+    # the triangulation's vertices are P's own tuples, so id() finds them
+    scaled = dict(zip(map(id, pts), rows))
+    base = rows[-1]
+    cone_den = math.factorial(n) * den**n
+    facet_den = math.factorial(n - 1) * den ** (n - 1)
+    norms = [sum(v * v for v in f.normal) for f in P.facets]
+    common = math.lcm(*norms)
+    vol, mom, bmom = 0, [0] * n, [0] * n
+    # cone k is the base coned over facet piece k
+    for s, piece in zip(dec.simplices, dec.facet_pieces):
         w = s.volume()
+        w = w.numerator * (cone_den // w.denominator)
+        m, norm = piece.measure, norms[piece.facet_id]
+        m = m.numerator * (facet_den * norm // m.denominator) * (common // norm)
         vol += w
-        for i, col in enumerate(zip(*s.vertices)):
-            mom[i] += w * sum(col)
-    bmom = [Fraction(0)] * n
-    for piece in dec.facet_pieces:
-        for i, col in enumerate(zip(*piece.vertices)):
-            bmom[i] += piece.measure * sum(col)
-    return vol, tuple(c / (n + 1) for c in mom), tuple(c / n for c in bmom)
+        for i, col in enumerate(zip(*(scaled[id(v)] for v in piece.vertices))):
+            c = sum(col)
+            mom[i] += w * (c + base[i])
+            bmom[i] += m * c
+    return (
+        Fraction(vol, cone_den),
+        tuple(Fraction(c, cone_den * den * (n + 1)) for c in mom),
+        tuple(Fraction(c, facet_den * common * den * n) for c in bmom),
+    )
 
 
 def volume(P: LatticePolytope) -> Fraction:

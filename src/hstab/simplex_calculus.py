@@ -82,17 +82,11 @@ def _int_det(rows) -> int:
     return sign * prev
 
 
-def _det(rows) -> Fraction:
-    """Exact determinant of a square rational matrix: each row is scaled to
-    integers by the lcm of its denominators, so det is _int_det of the
-    scaled rows over the product of the scales; det([]) = 1."""
-    scaled, scale = [], 1
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
-    return Fraction(_int_det(scaled), scale)
+def _scaled_points(points) -> tuple:
+    """(D, rows): rational points times their common denominator D, as
+    rows of Python ints; D = 1 for lattice points."""
+    den = math.lcm(*{x.denominator for p in points for x in p})
+    return den, [[x.numerator * (den // x.denominator) for x in p] for p in points]
 
 
 @dataclass(frozen=True)
@@ -133,10 +127,6 @@ class Simplex:
     def dim(self) -> int:
         return len(self.vertices[0])
 
-    def edge_matrix(self):
-        v0 = self.vertices[0]
-        return [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
-
     def volume(self) -> Fraction:
         """Euclidean volume |det(edges)| / n!, exact; zero if degenerate.
         The determinant is taken once per simplex (see ``_volume``)."""
@@ -151,8 +141,10 @@ class Simplex:
             raise DegenerateSimplex(
                 f"need {n + 1} vertices in R^{n}, got {len(self.vertices)}"
             )
-        det = _det(self.edge_matrix())
-        return abs(det) / math.factorial(n)
+        # n! * D^n * vol is |det| of the edges of the vertices scaled by D
+        den, pts = _scaled_points(self.vertices)
+        rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+        return Fraction(abs(_int_det(rows)), math.factorial(n) * den**n)
 
 
 def simplex(vertices) -> Simplex:

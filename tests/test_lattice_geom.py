@@ -25,7 +25,7 @@ import hstab.lattice_geom as lg
 import hstab.weight_rings as wr
 from hstab import corpus
 from hstab.errors import DegeneratePolytope, NonRationalInput, ParseError
-from hstab.simplex_calculus import AffineForm, Simplex, _det, _dot, _int_det
+from hstab.simplex_calculus import AffineForm, Simplex, _dot, _int_det
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +99,23 @@ def fraction_det(rows):
             for c in range(col, k):
                 a[r][c] -= f * a[col][c]
     return det
+
+
+def fraction_rank(rows):
+    """Oracle for linear independence: row reduction over Fraction."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for r in range(rank + 1, len(a)):
+            f = a[r][col] / a[rank][col]
+            for c in range(col, len(a[0])):
+                a[r][c] -= f * a[rank][c]
+        rank += 1
+    return rank
 
 
 def count_extrapolated_volume(P, ms=(16, 32, 64)):
@@ -196,7 +213,7 @@ def chart_fan_face(points, d):
     basis = []
     for p in points[1:]:
         e = point_sub(p, base)
-        if lg._rank(basis + [e]) > len(basis):
+        if fraction_rank(basis + [e]) > len(basis):
             basis.append(e)
         if len(basis) == d:
             break
@@ -343,7 +360,7 @@ def random_point_set(rng, d, rational, radius=4):
 
     while True:
         pts = [tuple(coord() for _ in range(d)) for _ in range(rng.randint(d + 1, 9))]
-        if lg._rank([point_sub(p, pts[0]) for p in pts[1:]]) == d:
+        if fraction_rank([point_sub(p, pts[0]) for p in pts[1:]]) == d:
             break
     a, b, c = pts[0], pts[1], pts[-1]
     pts += [tuple((x + y) / 2 for x, y in zip(a, b))]  # on a segment
@@ -374,7 +391,7 @@ def test_hull_matches_scan_on_random_point_sets(d, rational):
         rank_rule = tuple(
             p
             for i, p in enumerate(pts)
-            if lg._rank([v for v, inc in zip(normals, facets.values()) if i in inc]) == d
+            if fraction_rank([v for v, inc in zip(normals, facets.values()) if i in inc]) == d
         )
         P = lg.build_polytope(pts)
         assert P.vertices == rank_rule, pts
@@ -410,8 +427,9 @@ def test_triangulation_matches_chart_oracle_on_products(polytopes, a, b):
 
 
 def test_determinants_match_fraction_elimination():
-    """_int_det (Bareiss) and _det (rows scaled to integers) against
-    Gaussian elimination over Fraction, sizes 0-6, singular ones too."""
+    """_int_det (Bareiss) and Simplex.volume() (the origin and the rows,
+    scaled to integers by their common denominator) against Gaussian
+    elimination over Fraction, sizes 0-6, singular ones too."""
     rng = random.Random(61)
     for _ in range(300):
         k = rng.randint(0, 6)
@@ -420,7 +438,8 @@ def test_determinants_match_fraction_elimination():
             rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]  # singular
         assert _int_det(rows) == fraction_det(rows), rows
         ratl = [[Fraction(x, rng.choice((1, 2, 3, 7))) for x in r] for r in rows]
-        assert _det(ratl) == fraction_det(ratl), ratl
+        S = Simplex(vertices=((Fraction(0),) * k,) + tuple(map(tuple, ratl)))
+        assert S.volume() == abs(fraction_det(ratl)) / math.factorial(k), ratl
 
 
 def test_triangulate_computes_no_hull(polytopes, monkeypatch):
@@ -493,6 +512,20 @@ def test_is_reflexive_examples():
     assert not lg.is_reflexive(
         lg.build_polytope([(-2, -2), (2, -2), (-2, 2), (2, 2)])
     )
+
+
+def test_is_reflexive_is_memoized_on_the_polytope(monkeypatch):
+    checked = []
+    is_lattice = lg.LatticePolytope.is_lattice
+    monkeypatch.setattr(
+        lg.LatticePolytope,
+        "is_lattice",
+        lambda self: checked.append(self) or is_lattice(self),
+    )
+    P = lg.build_polytope([(-1, -1), (2, -1), (-1, 2)])
+    assert all(lg.is_reflexive(P) for _ in range(3))
+    assert not lg.is_reflexive(lg.translate(P, (1, 0)))
+    assert len(checked) == 2
 
 
 def test_corpus_is_reflexive(polytopes):
@@ -737,11 +770,26 @@ def test_moments_match_oracle_on_corpus(polytopes):
         assert_moments_match_oracle(P)
 
 
-@pytest.mark.parametrize("a,b", PRODUCTS + (("cube", "hexagon"),))
-def test_moments_match_oracle_on_products(polytopes, a, b):
-    assert_moments_match_oracle(
-        lg.build_polytope(product_points(polytopes[a], polytopes[b]))
-    )
+@pytest.mark.parametrize(
+    "a,b,shift",
+    [pytest.param(a, b, None, id=f"{a}-{b}") for a, b in PRODUCTS]
+    + [
+        pytest.param("cube", "hexagon", None, id="cube-hexagon"),
+        pytest.param("blowup_two", "cube", None, id="blowup_two-cube"),
+        # common denominator D > 1 in dimension 4: the translate has
+        # rational vertices and its base is their centroid
+        pytest.param(
+            "blowup_one", "blowup_two", ("4/3", "-2/7", "5/11", "-1/2"),
+            id="blowup_one-blowup_two-translate",
+        ),
+    ],
+)
+def test_moments_match_oracle_on_products(polytopes, a, b, shift):
+    P = lg.build_polytope(product_points(polytopes[a], polytopes[b]))
+    if shift is not None:
+        P = lg.translate(P, shift)
+        assert lg.triangulate(P).base != (0,) * P.dim
+    assert_moments_match_oracle(P)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

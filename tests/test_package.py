@@ -4,13 +4,17 @@
 the name set, the identity of every re-exported object, and that the
 numpy-free paths (``import hstab``, ``import hstab.cli``, ``hstab check``
 and plain ``hstab invariants``) stay free of numpy in a fresh interpreter.
+It also keeps ``assert`` statements out of the package, so no invariant
+check disappears under ``python -O``.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +153,19 @@ def test_names_are_the_defining_modules_objects():
         else:  # constants carry no __module__
             owners = [m for m in SUBMODULES if getattr(getattr(hstab, m), name, None) is obj]
             assert owners, name
+
+
+def test_package_has_no_assert_statements():
+    """Invariant checks raise explicitly: ``python -O`` strips asserts."""
+    paths = sorted(Path(hstab.__file__).parent.rglob("*.py"))
+    assert len(paths) >= len(SUBMODULES) + 1
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_star_import_and_dir_list_every_name():
