@@ -14,7 +14,8 @@ is a 17-significant-digit decimal string and every exact rational a "p/q"
 string, so report bodies are byte-identical across runs with the same
 inputs (the manifest carries the wall-clock duration, the report never
 does).  Diagnostics go to stderr only.  Exit codes: 0 ok, 2 parse or
-invalid parameters, 3 not reflexive, 4 unbounded direction, 5
+invalid parameters, 3 not reflexive, 4 unbounded direction (q = (n+1)/n
+* barycenter is not interior to P; ``direction`` is a facet witness), 5
 non-convergence.
 
 ``check`` and ``invariants`` run without numpy: ``weight_rings``,

@@ -6,20 +6,21 @@ H is smooth and concave on the Lie algebra of the torus, with
     Hess H(xi)   = -V Cov_xi(x),
 
 where G is the mean and Cov the covariance of the Gibbs measure
-e^{-<x,xi>} dx / Z on P, and B_i = int_{dP} x_i dsigma.  A damped Newton
-ascent from xi = 0 therefore converges globally whenever a maximizer
-exists; directions eta along which H(s eta) grows affinely are detected by
-the recession slope
+e^{-<x,xi>} dx / Z on P, and B_i = int_{dP} x_i dsigma.  On reflexive P,
+(n-1)! B = V q with q = (n+1)/n * barycenter, so the recession slope is
 
-    lim_{s->inf} H(s eta)/s = V min_P <x, eta> - (n-1)! int_{dP} <x,eta> dsigma
+    lim_{s->inf} H(s eta)/s = V (min_P <x, eta> - <q, eta>),  |eta| = 1.
 
-and reported as unbounded rather than iterated into.
+All slopes are negative, so H has a maximizer, iff <u_F, q> < 1 on every
+facet.  ``maximize_h`` checks this once, exactly, before a damped Newton
+ascent from xi = 0, which then converges globally.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,11 +34,6 @@ from .simplex_calculus import exp_moments
 _EIGENVALUE_FLOOR = -1e-8
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-_XI_GUARD = 1e3
-
-
-def _boundary_moment_float(P) -> np.ndarray:
-    return np.array([float(b) for b in lg.boundary_moment_vector(P)])
 
 
 def _grad_hess(P, xf: Sequence[float], order: int):
@@ -47,7 +43,8 @@ def _grad_hess(P, xf: Sequence[float], order: int):
     _, i0, i1, i2 = exp_moments(lg.triangulate(P).simplices, xf, order)
     v = float(lg.normalized_volume(P))
     mean = np.array(i1) / i0
-    grad = v * mean - math.factorial(P.dim - 1) * _boundary_moment_float(P)
+    b = np.array([float(c) for c in lg.boundary_moment_vector(P)])
+    grad = v * mean - math.factorial(P.dim - 1) * b
     if order < 2:
         return grad, None
     cov = np.array(i2) / i0 - np.outer(mean, mean)
@@ -69,19 +66,30 @@ def h_hessian(P, xi) -> np.ndarray:
 
 
 def recession_slope(P, eta) -> float:
-    """Asymptotic slope lim H(s eta)/s along a unit direction."""
+    """Asymptotic slope lim H(s eta)/s along a unit direction, in the
+    closed form V min_P <x - q, eta> that holds on reflexive P."""
     require_reflexive(P)
     ef = np.array(lg.as_float_vector(eta, P.dim))
     norm = float(np.linalg.norm(ef))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, |eta| = {norm}")
-    vmin = min(
-        math.fsum(float(c) * e for c, e in zip(v, ef.tolist()))
+    q = [Fraction(P.dim + 1, P.dim) * b for b in lg.barycenter(P)]
+    least = min(
+        math.fsum(float(c - t) * e for c, t, e in zip(v, q, ef.tolist()))
         for v in P.vertices
     )
-    v = float(lg.normalized_volume(P))
-    boundary = float(_boundary_moment_float(P) @ ef)
-    return v * vmin - math.factorial(P.dim - 1) * boundary
+    return float(lg.normalized_volume(P)) * least
+
+
+def _unbounded_witness(P) -> Optional[np.ndarray]:
+    """-u_F/|u_F| for the first facet F with <u_F, q> >= 1, where the
+    slope is V (<u_F, q> - 1)/|u_F| >= 0; None when H has a maximizer."""
+    q = [Fraction(P.dim + 1, P.dim) * b for b in lg.barycenter(P)]
+    for f in P.facets:
+        if sum(u * t for u, t in zip(f.normal, q)) >= f.offset:
+            u = np.array(f.normal, dtype=float)
+            return -u / np.linalg.norm(u)
+    return None
 
 
 @dataclass(frozen=True)
@@ -103,38 +111,22 @@ class OptimizationResult:
         return self.status == "converged"
 
 
-def _probe_directions(P, xi: np.ndarray):
-    """Recession probes along xi/|xi| and all +-coordinate directions;
-    returns a witness direction with nonnegative slope, if any."""
-    n = P.dim
-    dirs = []
-    norm = float(np.linalg.norm(xi))
-    if norm > 0:
-        dirs.append(xi / norm)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        dirs.extend([e, -e])
-    for eta in dirs:
-        if recession_slope(P, eta) >= 0:
-            return eta
-    return None
-
-
 def maximize_h(
     P, tol: float = 1e-9, max_iter: int = 200, keep_trace: bool = False
 ) -> OptimizationResult:
     """Damped Newton ascent of H from xi = 0.
 
-    Newton systems are shifted so the working Hessian has top eigenvalue
-    <= -1e-8; steps use Armijo backtracking (parameter 1e-4, halving).
-    When the line search exhausts 60 halvings or |xi| leaves the 1e3 ball,
-    recession slopes are probed and any nonnegative one terminates the run
-    as unbounded_direction.  Deterministic for fixed (P, tol, max_iter).
+    Without a maximizer it ends at once as unbounded_direction, with a
+    facet witness as ``direction``.  Newton systems are shifted so the
+    working Hessian has top eigenvalue <= -1e-8; steps use Armijo
+    backtracking (parameter 1e-4, halving), and a line search that
+    exhausts 60 halvings ends the run as max_iterations.  Deterministic.
     """
     require_reflexive(P)
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     n = P.dim
 
     trace: Optional[list] = [] if keep_trace else None
@@ -142,7 +134,7 @@ def maximize_h(
     h_val = 0.0
     iterations = 0
 
-    witness = _probe_directions(P, xi)
+    witness = _unbounded_witness(P)
     if witness is not None:
         return OptimizationResult(
             status="unbounded_direction",
@@ -183,35 +175,14 @@ def maximize_h(
         slope = float(grad @ step)  # > 0 since work is negative definite
 
         s = 1.0
-        accepted = False
-        cand = xi
-        h_cand = h_val
         for _ in range(_MAX_HALVINGS):
             cand = xi + s * step
             h_cand = h_raw(P, cand)
             if h_cand >= h_val + _ARMIJO * s * slope:
-                accepted = True
                 break
             s *= 0.5
-
-        if not accepted or float(np.linalg.norm(cand)) > _XI_GUARD:
-            witness = _probe_directions(P, cand if accepted else xi)
-            if witness is not None:
-                status = "unbounded_direction"
-                return OptimizationResult(
-                    status=status,
-                    xi_star=xi,
-                    h_star=h_val,
-                    grad_norm=gnorm,
-                    hessian_max_eigenvalue=top,
-                    iterations=iterations,
-                    flat_direction=False,
-                    direction=witness,
-                    trace=trace,
-                )
-            if not accepted:
-                status = "max_iterations"
-                break
+        else:
+            break  # the line search failed: status stays max_iterations
 
         xi = cand
         last = None

@@ -266,8 +266,17 @@ def test_optimize_non_reflexive_exit_3(runner, tmp_path):
     assert res.exit_code == 3
 
 
-def test_optimize_bad_tol_exit_2(runner):
-    res = runner.invoke(main, ["optimize", path_of("interval"), "--tol", "0"])
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        pytest.param("interval", ["--tol", "0"], id="tol 0"),
+        # tol = inf would stop at xi = 0 and call blowup_one stable
+        pytest.param("blowup_one", ["--tol", "inf"], id="tol inf"),
+        pytest.param("blowup_one", ["--max-iter", "-3"], id="max-iter -3"),
+    ],
+)
+def test_optimize_bad_tol_exit_2(runner, name, args):
+    res = runner.invoke(main, ["optimize", path_of(name)] + args)
     assert res.exit_code == 2
 
 
@@ -306,6 +315,21 @@ def test_optimize_exit_4_on_unbounded(runner, monkeypatch):
     rep = json.loads(res.output)["report"]
     assert rep["status"] == "unbounded_direction"
     assert len(rep["direction"]) == 2
+
+
+def test_optimize_exit_4_from_facet_certificate(runner, monkeypatch):
+    """With blowup_one's barycenter moved to (1/2, 1/2), q = (3/4, 3/4)
+    lies past the facet <(1, 1), x> = 1: the real optimizer stops before
+    any step with that facet's witness and exits 4."""
+    half = Fraction(1, 2)
+    monkeypatch.setattr(lg, "barycenter", lambda _: (half, half))
+    res = runner.invoke(main, ["optimize", path_of("blowup_one"), "--trace"])
+    assert res.exit_code == 4
+    rep = json.loads(res.output)["report"]
+    assert rep["status"] == "unbounded_direction"
+    assert rep["iterations"] == 0 and rep["trace"] == []
+    assert [float(c) for c in rep["direction"]] == [-1 / math.sqrt(2)] * 2
+    assert "verdict" not in rep and "mu_supremum" not in rep
 
 
 # ---------------------------------------------------------------------------

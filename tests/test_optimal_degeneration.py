@@ -1,9 +1,10 @@
-"""Gradient and Hessian of H, concavity, recession slopes, the Newton
-maximizer and the stability verdict.
+"""Gradient and Hessian of H, concavity, recession slopes, the existence
+certificate, the Newton maximizer and the stability verdict.
 
 Oracles: central finite differences of H itself, a 1-D golden-section
-search along the diagonal symmetry axis for the blow-up optima, and
-hand values for the interval.
+search along the diagonal symmetry axis for the blow-up optima, the
+recession slope in its boundary-moment form, and hand values for the
+interval.
 """
 
 import dataclasses
@@ -137,13 +138,109 @@ def test_interval_recession_slope():
     assert od.recession_slope(P, (-1.0,)) == pytest.approx(-2.0, rel=1e-13)
 
 
-def test_recession_slopes_negative_everywhere(polytopes):
+# 4-D products whose recession slopes are checked beside the corpus
+SLOPE_PRODUCTS = (
+    ("blowup_one", "blowup_two"),
+    ("square", "square"),
+    ("blowup_one", "square"),
+)
+
+
+@pytest.fixture(scope="module")
+def slope_polytopes(polytopes):
+    """The corpus and SLOPE_PRODUCTS, by name."""
+    out = dict(polytopes)
+    for a, b in SLOPE_PRODUCTS:
+        out[f"{a}x{b}"] = product(polytopes, a, b)
+    return out
+
+
+def boundary_moment_slope(P, eta):
+    """lim H(s eta)/s in its defining form,
+    V min_P <x, eta> - (n-1)! <B, eta>, with B the exact boundary moments."""
+    vmin = min(math.fsum(float(c) * e for c, e in zip(v, eta)) for v in P.vertices)
+    boundary = math.fsum(
+        float(b) * e for b, e in zip(lg.boundary_moment_vector(P), eta)
+    )
+    v = float(lg.normalized_volume(P))
+    return v * vmin - math.factorial(P.dim - 1) * boundary
+
+
+def test_recession_slope_matches_boundary_moment_form(slope_polytopes):
+    rng = np.random.default_rng(101)
+    for name, P in slope_polytopes.items():
+        for _ in range(50):
+            eta = rng.normal(size=P.dim)
+            eta /= np.linalg.norm(eta)
+            ref = boundary_moment_slope(P, eta.tolist())
+            got = od.recession_slope(P, tuple(eta))
+            assert got == pytest.approx(ref, rel=1e-13), (name, eta)
+
+
+def test_recession_slopes_negative_everywhere(slope_polytopes):
     rng = np.random.default_rng(97)
-    for name, P in polytopes.items():
+    for name, P in slope_polytopes.items():
         for _ in range(30):
             eta = rng.normal(size=P.dim)
             eta /= np.linalg.norm(eta)
             assert od.recession_slope(P, tuple(eta)) < 0, (name, eta)
+
+
+# ---------------------------------------------------------------------------
+# existence certificate: H has a maximizer iff q = (n+1)/n * bary is interior
+
+
+def least_slack(P):
+    """1 - max_F <u_F, q>, exactly."""
+    q = [Fraction(P.dim + 1, P.dim) * b for b in lg.barycenter(P)]
+    return 1 - max(sum(u * t for u, t in zip(f.normal, q)) for f in P.facets)
+
+
+@pytest.mark.parametrize(
+    "name,slack",
+    [
+        ("blowup_one", Fraction(3, 4)),
+        ("blowup_two", Fraction(6, 7)),
+        ("blowup_onexblowup_two", Fraction(19, 24)),
+    ]
+    + [(name, 1) for name in corpus.BARYCENTER_ZERO],
+)
+def test_least_facet_slack(slope_polytopes, name, slack):
+    P = slope_polytopes[name]
+    assert least_slack(P) == slack
+    assert od._unbounded_witness(P) is None
+
+
+@pytest.mark.parametrize(
+    "q,slope",
+    [
+        ((Fraction(1, 2), Fraction(1, 2)), 0.0),
+        ((Fraction(3, 4), Fraction(3, 4)), 2 * math.sqrt(2)),
+    ],
+    ids=["q on the facet", "q outside"],
+)
+def test_unbounded_when_target_leaves_interior(monkeypatch, q, slope):
+    """Moving blowup_one's q along its symmetry axis onto, then past, the
+    facet <(1, 1), x> = 1 ends the run before any step, with that facet's
+    witness; its slope V (<u, q> - 1)/|u| is 0, then 8 (1/2)/sqrt 2."""
+    P = corpus.load_corpus("blowup_one")
+    monkeypatch.setattr(
+        lg, "barycenter", lambda _: tuple(Fraction(2, 3) * t for t in q)
+    )
+    crossed = [
+        f.normal
+        for f in P.facets
+        if sum(c * t for c, t in zip(f.normal, q)) >= f.offset
+    ]
+    assert crossed == [(1, 1)]
+    u = np.array([1.0, 1.0])
+    res = od.maximize_h(P, keep_trace=True)
+    assert res.status == "unbounded_direction"
+    assert res.iterations == 0 and res.trace == []
+    assert np.array_equal(res.direction, -u / np.linalg.norm(u))
+    got = od.recession_slope(P, tuple(res.direction))
+    assert got >= 0
+    assert got == pytest.approx(slope, rel=1e-15, abs=0)
 
 
 def test_recession_slope_rejects_non_unit():
@@ -248,9 +345,31 @@ def test_monotone_ascent_and_df_dominates():
     assert inv.df_invariant(P, tuple(res.xi_star)) >= res.h_star - 1e-10
 
 
+def test_failed_line_search_ends_as_max_iterations(monkeypatch):
+    """A line search that never meets the Armijo condition ends the run
+    where it stands, as max_iterations."""
+    P = corpus.load_corpus("blowup_one")
+    monkeypatch.setattr(od, "h_raw", lambda P, xi: -math.inf)
+    res = od.maximize_h(P, keep_trace=True)
+    assert res.status == "max_iterations" and res.iterations == 0
+    assert len(res.trace) == 1 and not res.xi_star.any()
+    assert res.direction is None
+
+
 def test_trace_disabled_by_default():
     res = od.maximize_h(corpus.load_corpus("blowup_one"))
     assert res.trace is None
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": math.inf}, {"tol": math.nan}, {"tol": -1e-9}, {"max_iter": -3}],
+    ids=str,
+)
+def test_maximize_rejects_unusable_tol_and_max_iter(kwargs):
+    # tol = inf would stop at xi = 0 and call blowup_one stable
+    with pytest.raises(ValueError):
+        od.maximize_h(corpus.load_corpus("blowup_one"), **kwargs)
 
 
 def test_maximize_rejects_bad_inputs():
