@@ -187,6 +187,8 @@ def cmd_invariants(path: str, xi_text: str, oracle_m, output) -> None:
         report = inv.build_report(P, xi)
     except NotReflexive as exc:
         _fail(EXIT_NOT_REFLEXIVE, exc)
+    except ValueError as exc:  # a direction the float moment pass cannot take
+        _fail(EXIT_PARSE, f"--xi {xi_text}: {exc}")
     body = {
         "polytope_name": report.polytope_name,
         "dim": report.dim,
@@ -305,9 +307,12 @@ def cmd_dh(path: str, xi_text: str, m: int, bins, output) -> None:
         table = wr.weight_table_toric(P, m)
     except NotReflexive as exc:
         _fail(EXIT_NOT_REFLEXIVE, exc)
+    try:
+        c0_over_v = wr.c0_exact(P, xi) / float(lg.normalized_volume(P))
+    except ValueError as exc:  # a direction the float moment pass cannot take
+        _fail(EXIT_PARSE, f"--xi {xi_text}: {exc}")
     sample = wr.dh_measure(table, xi, m)
     moment = wr.dh_exp_moment(sample)
-    c0_over_v = wr.c0_exact(P, xi) / float(lg.normalized_volume(P))
     body = {
         "polytope_name": P.name,
         "dim": P.dim,

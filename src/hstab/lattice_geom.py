@@ -59,10 +59,10 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .errors import DegeneratePolytope, NonRationalInput, ParseError
 from .simplex_calculus import (
     AffineForm,
-    Simplex,
     _dot,
     _int_det,
     _scaled_points,
+    _simplex_of_volume,
     integral_linear_simplex,
 )
 
@@ -446,7 +446,11 @@ def _star_triangulation(P: LatticePolytope, base) -> SimplicialDecomposition:
     if not all(_dot(f.normal, base) < f.offset for f in P.facets):
         raise ValueError(f"triangulation base {base} is not strictly interior")
 
-    den, scaled = _scaled_points(P.vertices)
+    # P's vertices and the base scaled together by their common denominator
+    # D, so each cone's n! D^n vol is the integer |det(scaled v_i - base)|
+    den, scaled = _scaled_points(P.vertices + (base,))
+    origin = scaled[-1]
+    cone_den = math.factorial(n) * den**n
     facet_sets = [frozenset(f.vertex_ids) for f in P.facets]
     simplices = []
     pieces = []
@@ -462,7 +466,9 @@ def _star_triangulation(P: LatticePolytope, base) -> SimplicialDecomposition:
                     ),
                 )
             )
-            simplices.append(Simplex(vertices=(base,) + tri))
+            rows = [[a - b for a, b in zip(scaled[i], origin)] for i in ids]
+            vol = Fraction(abs(_int_det(rows)), cone_den)
+            simplices.append(_simplex_of_volume((base,) + tri, vol))
     return SimplicialDecomposition(
         base=base, simplices=tuple(simplices), facet_pieces=tuple(pieces)
     )
@@ -509,10 +515,10 @@ def _moments(P: LatticePolytope) -> tuple:
         bmom_i = sum m_T (T's scaled vertex sum)_i / ((n-1)! D^n <v_F, v_F> n)
 
     and one Fraction is built per output coordinate, over the lcm of the
-    <v_F, v_F>.  w_S is the simplex's own determinant and m_T the
-    triangulation's facet measure, each read back as an integer, so the
-    boundary identity sigma(dP) = n vol(P) stays a check of two
-    independent determinants."""
+    <v_F, v_F>.  w_S is the cone's own determinant |det(v_i - base)| and
+    m_T the facet measure det(edges, v_F), both taken by the triangulation
+    and read back here as integers, so the boundary identity
+    sigma(dP) = n vol(P) stays a check of two independent determinants."""
     n = P.dim
     dec = triangulate(P)
     pts = P.vertices + (dec.base,)

@@ -29,8 +29,9 @@ accuracy to cancellation.  Both halves are output-sensitive: a tight block
 is summed only when the recursion reads it, so a node set that is one
 tight block costs a single series, and the series builds h_k one degree
 at a time and stops at its first negligible term.  Within one moment pass
-each distinct vertex is converted to float once and each distinct node set
-is evaluated once; nothing is kept after the pass returns.
+each distinct vertex is converted once, each distinct node set evaluated
+once and each tight block summed once per pass; nothing is kept after the
+pass returns.
 """
 
 from __future__ import annotations
@@ -147,6 +148,15 @@ class Simplex:
         return Fraction(abs(_int_det(rows)), math.factorial(n) * den**n)
 
 
+def _simplex_of_volume(vertices: tuple, volume: Fraction) -> Simplex:
+    """Simplex whose volume the caller has already taken as |det(edges)| /
+    n! of these vertices, e.g. from rows it holds scaled to integers; the
+    value is seeded into the ``_volume`` cache, so no rescale follows."""
+    S = Simplex(vertices=vertices)
+    S.__dict__["_volume"] = volume
+    return S
+
+
 def simplex(vertices) -> Simplex:
     """Build a Simplex from any nested sequence of rationals; rejects
     wrong vertex counts and flat vertex sets up front."""
@@ -200,23 +210,21 @@ def _series_block(nodes: Sequence[float]) -> float:
     return _safe_exp(mu) * total
 
 
-def exp_divided_difference(nodes) -> float:
-    """Divided difference of exp over the given nodes (any multiplicity).
+def _tight_block(xs: tuple, blocks: dict) -> float:
+    """Series value of the tight block xs, summed once per ``blocks``."""
+    val = blocks.get(xs)
+    if val is None:
+        val = blocks[xs] = _series_block(xs)
+    return val
 
-    Nodes are sorted; blocks spanning more than 1e-4 use the forward
-    recursion, tighter blocks the shifted series, so clustered and exactly
-    repeated nodes are handled without cancellation.  A tight block is
-    evaluated only when a wider one reads it, so a fully clustered node set
-    costs one series.
-    """
-    xs = sorted(float(x) for x in nodes)
-    if not xs:
-        raise ValueError("at least one node is required")
-    if any(not math.isfinite(x) for x in xs):
-        raise ValueError("nodes must be finite")
+
+def _divided_difference(xs: tuple, blocks: dict) -> float:
+    """exp[xs] for a nonempty sorted tuple of finite floats.  Tight blocks
+    are read through ``blocks``, so a caller that keeps the dict across
+    node sets sums each of them once."""
     k = len(xs)
     if k > 1 and xs[-1] - xs[0] <= _SERIES_SPAN:
-        return _series_block(xs)
+        return _tight_block(xs, blocks)
     # table[i][j] holds exp[xs[i..j]]; None marks a tight block not read yet
     table = [[None] * k for _ in range(k)]
     for i in range(k):
@@ -228,11 +236,28 @@ def exp_divided_difference(nodes) -> float:
             if gap > _SERIES_SPAN:
                 hi, lo = table[i + 1][j], table[i][j - 1]
                 if hi is None:
-                    hi = table[i + 1][j] = _series_block(xs[i + 1 : j + 1])
+                    hi = table[i + 1][j] = _tight_block(xs[i + 1 : j + 1], blocks)
                 if lo is None:
-                    lo = table[i][j - 1] = _series_block(xs[i:j])
+                    lo = table[i][j - 1] = _tight_block(xs[i:j], blocks)
                 table[i][j] = (hi - lo) / gap
     return table[0][k - 1]
+
+
+def exp_divided_difference(nodes) -> float:
+    """Divided difference of exp over the given nodes (any multiplicity).
+
+    Nodes are sorted; blocks spanning more than 1e-4 use the forward
+    recursion, tighter blocks the shifted series, so clustered and exactly
+    repeated nodes are handled without cancellation.  A tight block is
+    evaluated only when a wider one reads it, so a fully clustered node set
+    costs one series.
+    """
+    xs = tuple(sorted(float(x) for x in nodes))
+    if not xs:
+        raise ValueError("at least one node is required")
+    if any(not math.isfinite(x) for x in xs):
+        raise ValueError("nodes must be finite")
+    return _divided_difference(xs, {})
 
 
 def integral_exp_simplex(S: Simplex, a) -> float:
@@ -258,53 +283,72 @@ def exp_moments(simplices, xi, order: int = 2):
         int x x^T e^{-<x,xi>} dx    = e^shift * i2   (n x n nested list)
 
     where shift = max over all vertices of -<x, xi>, so i0 is free of
-    overflow for any xi.  i1/i2 are None below the requested order.
-    Accumulation across simplices uses exact compensated summation in the
-    order the simplices are given.  Each distinct vertex object is
-    converted once and each distinct sorted node set evaluated once per
-    call, so shared vertices and repeated node sets cost nothing extra.
+    overflow for any xi.  i1/i2 are None below the requested order, which
+    must be 0, 1 or 2.  Accumulation across simplices uses exact
+    compensated summation in the order the simplices are given.  Each
+    distinct vertex object is converted once, each distinct sorted node set
+    evaluated once and each tight block summed once per call, so shared
+    vertices, repeated node sets and clusters they share cost nothing extra.
+    A direction whose nodes leave the double range, or whose shifted mass
+    i0 underflows to 0, raises ValueError.
     """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     simplices = list(simplices)
     if not simplices:
         raise ValueError("no simplices given")
     n = simplices[0].dim
-    xf = [float(c) for c in xi]
+    xf = tuple(float(c) for c in xi)
     if len(xf) != n:
         raise ValueError("direction has wrong dimension")
 
     # Triangulations share vertex tuples between simplices, so vertices are
-    # keyed by id(v); each entry holds v, so no id is reused within the call.
-    points = {}
-
-    def point(v):
-        """(node, float coordinates, v) of vertex v, converted once."""
-        p = points.get(id(v))
-        if p is None:
-            vf = [float(x) for x in v]
-            p = points[id(v)] = (-math.fsum(c * x for c, x in zip(xf, vf)), vf, v)
-        return p
+    # keyed by id(v).  Each simplex's vertices are read once, and
+    # vertex_sets holds every v, so no id is reused within the call.
+    vertex_sets = [s.vertices for s in simplices]
+    points = {}  # id(v) -> (node, float coordinates of v)
+    for vs in vertex_sets:
+        for v in vs:
+            if id(v) not in points:
+                vf = [float(x) for x in v]
+                try:
+                    node = -math.fsum(c * x for c, x in zip(xf, vf))
+                except (OverflowError, ValueError):  # overflow, or inf - inf
+                    node = math.nan
+                points[id(v)] = (node, vf)
+    shift = max(node for node, _ in points.values())
+    # each vertex's node is shifted, and checked, once
+    for key, (node, vf) in points.items():
+        node -= shift
+        if not math.isfinite(node):
+            raise ValueError(
+                f"nodes must be finite: direction {xf} leaves the double "
+                "range in the exp_moments node sum"
+            )
+        points[key] = (node, vf)
 
     # exp[...] depends only on the sorted nodes, and simplices meeting at
-    # a vertex, or entries of one simplex, repeat node sets
+    # a vertex, or entries of one simplex, repeat node sets; the sets in
+    # turn share their tight blocks
     dds = {}
+    blocks = {}
 
     def dd(nodes) -> float:
         key = tuple(sorted(nodes))
         val = dds.get(key)
         if val is None:
-            val = dds[key] = exp_divided_difference(key)
+            val = dds[key] = _divided_difference(key, blocks)
         return val
 
-    shift = max(point(v)[0] for s in simplices for v in s.vertices)
     nfact = math.factorial(n)
 
     c0_parts = []
     c1_parts = [[] for _ in range(n)]
     c2_parts = [[[] for _ in range(n)] for _ in range(n)]
-    for s in simplices:
-        pts = [point(v) for v in s.vertices]
+    for s, vs in zip(simplices, vertex_sets):
+        pts = [points[id(v)] for v in vs]
         verts = [p[1] for p in pts]
-        nodes = [p[0] - shift for p in pts]
+        nodes = [p[0] for p in pts]
         w = nfact * float(s.volume())
         c0_parts.append(w * dd(nodes))
         if order >= 1:
@@ -332,6 +376,11 @@ def exp_moments(simplices, xi, order: int = 2):
                     c2_parts[i][j].append(w * acc)
 
     i0 = math.fsum(c0_parts)
+    if not i0 > 0.0:
+        raise ValueError(
+            f"direction {xf}: the shifted mass i0 underflows to 0 in "
+            "exp_moments, so log c0 and the Gibbs moments are undefined"
+        )
     i1 = [math.fsum(p) for p in c1_parts] if order >= 1 else None
     i2 = None
     if order >= 2:

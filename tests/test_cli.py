@@ -158,6 +158,19 @@ def test_invariants_xi_parse_error(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("command", [["invariants"], ["dh", "--m", "4"]])
+@pytest.mark.parametrize(
+    "xi,stage",
+    [("1e308,1e308", "exp_moments node sum"), ("1e300,1e300", "i0 underflows to 0")],
+)
+def test_direction_past_double_range_exit_2(runner, command, xi, stage):
+    res = runner.invoke(main, command + [path_of("square"), "--xi", xi])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith(f"error: --xi {xi}: ") and stage in line
+
+
 def test_invariants_oracle_section(runner):
     doc = run_json(
         runner,

@@ -269,6 +269,25 @@ def test_report_huge_direction_keeps_h_finite():
     assert rep.h == pytest.approx(-2 * (1200 - math.log(2400)), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "xi,stage",
+    [
+        pytest.param((1e308, 1e308), "exp_moments node sum", id="nodes overflow"),
+        pytest.param((1e300, 1e300), "i0 underflows to 0", id="mass underflows"),
+    ],
+)
+def test_report_direction_past_double_range_is_named(xi, stage):
+    """Directions whose moment pass leaves the double range raise
+    ValueError naming the direction and the stage, not an OverflowError
+    or a math domain error."""
+    P = corpus.load_corpus("square")
+    with pytest.raises(ValueError) as err:
+        inv.build_report(P, xi)
+    assert f"direction {xi}" in str(err.value) and stage in str(err.value)
+    with pytest.raises(ValueError, match=stage):
+        inv.h_invariant(P, xi)
+
+
 def test_report_makes_one_moment_pass(monkeypatch):
     calls = []
 

@@ -674,6 +674,27 @@ def test_two_triangulations_same_volume(polytopes):
         assert v1 == v2 == lg.volume(P)
 
 
+def test_triangulation_seeds_each_cone_volume(polytopes, monkeypatch):
+    """Each cone's volume comes from the rows the triangulation has
+    scaled, so reading it takes no further determinant, and it equals the
+    simplex's own |det(edges)| / n!, at the origin, at a rational base
+    and on a rational translate (common denominator D > 1)."""
+    P = lg.build_polytope(product_points(polytopes["blowup_one"], polytopes["square"]))
+    cases = [
+        lg.triangulate(polytopes["blowup_two"]),
+        lg.triangulate(polytopes["cube"], base=("1/3", "-1/5", "2/7")),
+        lg.triangulate(lg.translate(P, ("4/3", "-2/7", "5/11", "-1/2"))),
+    ]
+    own = [[Simplex(vertices=s.vertices).volume() for s in dec.simplices] for dec in cases]
+    calls = []
+    monkeypatch.setattr(
+        "hstab.simplex_calculus._int_det", lambda rows: calls.append(rows) or 0
+    )
+    for dec, want in zip(cases, own):
+        assert [s.volume() for s in dec.simplices] == want
+    assert calls == []
+
+
 def test_triangulate_shapes():
     interval = lg.build_polytope([(-1,), (1,)])
     assert lg.triangulate(interval).n_simplices == 2

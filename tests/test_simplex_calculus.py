@@ -6,6 +6,7 @@ far below double precision but exact in mpmath).  Integrals over 2-D
 simplices are cross-checked with scipy adaptive quadrature.
 """
 
+import gc
 import itertools
 import math
 import random
@@ -655,7 +656,7 @@ def test_origin_pass_evaluates_three_node_sets(polytopes, monkeypatch):
     per-call deduplication)."""
     simplices = lg.triangulate(named_polytope(polytopes, "squarexsquare")).simplices
     assert len(simplices) == 48
-    calls = count_calls(monkeypatch, sc, "exp_divided_difference")
+    calls = count_calls(monkeypatch, sc, "_divided_difference")
     exp_moments(simplices, [0.0] * 4, order=2)
     assert len(calls) == 3
 
@@ -673,3 +674,72 @@ def test_pass_converts_each_vertex_once(polytopes, monkeypatch, order):
     calls = count_calls(monkeypatch, Fraction, "__float__")
     exp_moments(simplices, [0.25, -0.5, 0.125, 1.0], order)
     assert len(calls) == 17 * 4 + 48
+
+
+@pytest.fixture(scope="module")
+def stalled_pass(polytopes):
+    """blowup_one x blowup_two's triangulation and the last iterate of its
+    capped Newton run, whose coordinates pair up, so many nodes lie within
+    about 1e-11 of each other."""
+    P = named_polytope(polytopes, "blowup_onexblowup_two")
+    res = od.maximize_h(P, max_iter=5, keep_trace=True)
+    simplices = lg.triangulate(P).simplices
+    for s in simplices:
+        s.volume()
+    return simplices, res.xi_star.tolist()
+
+
+def test_pass_sums_each_tight_block_once(stalled_pass, monkeypatch):
+    """At the stalled iterate an order-2 pass sums each distinct tight
+    block once: the same blocks the per-occurrence oracle sums, which
+    sums them again in every node set that reads them."""
+    simplices, xi = stalled_pass
+    calls = []
+    series = sc._series_block
+
+    def counting(nodes):
+        calls.append(tuple(nodes))
+        return series(nodes)
+
+    monkeypatch.setattr(sc, "_series_block", counting)
+    exp_moments(simplices, xi, order=2)
+    once = list(calls)
+    calls.clear()
+    per_occurrence_exp_moments(simplices, xi, order=2)
+    assert len(once) == len(set(once)) > 0
+    assert set(once) == set(calls)
+    assert len(calls) > 2 * len(once)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_pass_leaves_no_cyclic_garbage(stalled_pass, order):
+    """A pass frees its memos by reference counting alone.  A memo caught
+    in a reference cycle (a self-recursive closure, say) would outlive
+    the pass as garbage until the next full collection."""
+    simplices, xi = stalled_pass
+    gc.collect()
+    gc.disable()
+    try:
+        exp_moments(simplices, xi, order)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("order", [3, -1, 1.5, None, "2"])
+def test_exp_moments_rejects_other_orders(order):
+    seg = simplex([(-1,), (1,)])
+    with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+        exp_moments((seg,), [0.5], order)
+
+
+def test_exp_moments_names_a_direction_it_cannot_take():
+    """Nodes past the double range and a shifted mass that underflows to
+    0 raise ValueError naming the direction and the stage."""
+    sq = [simplex([(0, 0), (1, 0), (0, 1)]), simplex([(1, 1), (1, 0), (0, 1)])]
+    with pytest.raises(ValueError, match=r"nodes must be finite: direction \(1e\+308"):
+        exp_moments(sq, [1e308, 1e308], order=0)
+    with pytest.raises(ValueError, match=r"nodes must be finite.*node sum"):
+        exp_moments(sq, [math.nan, 0.0], order=0)
+    with pytest.raises(ValueError, match=r"direction \(1e\+300, -1e\+300\).*i0 underflows"):
+        exp_moments(sq, [1e300, -1e300], order=2)
