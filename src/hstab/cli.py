@@ -65,6 +65,13 @@ def _fail(code: int, message) -> None:
     sys.exit(code)
 
 
+def _require_finite(where: str, **values) -> None:
+    """Exit 2 naming the first of ``values`` that is not a finite float."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            _fail(EXIT_PARSE, f"{where}: {name} is {value}, not finite")
+
+
 def _jsonify(value):
     """Deterministic JSON form: floats as 17-significant-digit decimal
     strings, rationals as 'p/q', containers recursively.  numpy values are
@@ -212,6 +219,9 @@ def cmd_invariants(path: str, xi_text: str, oracle_m, output) -> None:
         except (ValueError, InsufficientDegrees, EmptyDegree) as exc:
             _fail(EXIT_PARSE, f"--oracle {oracle_m}: {exc}")
         c0_bf = wr.c0_bruteforce(table, xi, oracle_m)
+        _require_finite(
+            f"--oracle {oracle_m} at --xi {xi_text}", c0=report.c0, c0_bruteforce=c0_bf
+        )
         n = P.dim
         v = float(lg.normalized_volume(P))
         h_oracle = -v * math.log(c0_bf / v) - 2 * math.factorial(n - 1) * fit.b1
@@ -313,6 +323,7 @@ def cmd_dh(path: str, xi_text: str, m: int, bins, output) -> None:
         _fail(EXIT_PARSE, f"--xi {xi_text}: {exc}")
     sample = wr.dh_measure(table, xi, m)
     moment = wr.dh_exp_moment(sample)
+    _require_finite(f"--xi {xi_text}", exp_moment=moment, c0_over_v=c0_over_v)
     body = {
         "polytope_name": P.name,
         "dim": P.dim,

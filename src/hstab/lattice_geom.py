@@ -15,10 +15,12 @@ sets.
 The lattice points of mP are read as rows: for each prefix
 (x_1, ..., x_{n-1}) the last coordinate runs over one integer interval cut
 from the facet inequalities.  ``lattice_points`` expands the rows, already
-in lex order, and ``lattice_stats`` sums them (count, moment vector,
-largest squared norm) without ever building a point.  These three
-lattice-enumeration functions are the only ones here that import numpy,
-and they do it when called.
+in lex order; ``_lattice_point_blocks`` expands them a block of at most
+2^16 points at a time, so a caller that streams a degree never holds it
+whole; and ``lattice_stats`` sums them (count, moment vector, largest
+squared norm) without ever building a point.  The lattice-enumeration
+functions are the only ones here that import numpy, and they do it when
+called.
 
 Torus directions are coerced here too, by one rule: ``as_exact_vector``
 gives Fractions and ``as_float_vector`` a tuple of finite floats.
@@ -620,6 +622,29 @@ def b0_b1_exact(P: LatticePolytope, xi):
 # lattice point enumeration
 
 
+# most points in one block of ``_lattice_point_blocks``
+_BLOCK_POINTS = 2**16
+
+
+@_memoized
+def _row_constants(P: LatticePolytope) -> tuple:
+    """What ``_lattice_rows`` reads of P at every m: the vertex box as
+    Fractions (lowest and highest coordinate per axis), the facet normals,
+    offset denominators and offset numerators as int64 arrays, and the
+    factor max_F |v_F|_1 * max_F q_F of the int64 bound guard."""
+    import numpy as np
+
+    box = [
+        (min(v[i] for v in P.vertices), max(v[i] for v in P.vertices))
+        for i in range(P.dim)
+    ]
+    normals = np.array([f.normal for f in P.facets], dtype=np.int64)
+    qs = np.array([f.offset.denominator for f in P.facets], dtype=np.int64)
+    ps = np.array([f.offset.numerator for f in P.facets], dtype=np.int64)
+    width = int(np.abs(normals).sum(axis=1).max()) * int(qs.max())
+    return box, normals, qs, ps, width
+
+
 def _lattice_rows(P: LatticePolytope, m: int):
     """Integer points of mP as rows ``(prefixes, lo, hi)``: for each prefix
     (x_1, ..., x_{n-1}) with a point above it, the last coordinate runs over
@@ -635,20 +660,14 @@ def _lattice_rows(P: LatticePolytope, m: int):
         raise ValueError(f"dilation factor must be a positive integer, got {m!r}")
     import numpy as np
 
-    n = P.dim
-    lo = [-((-m * min(v[i] for v in P.vertices)) // 1) for i in range(n)]
-    hi = [(m * max(v[i] for v in P.vertices)) // 1 for i in range(n)]
-    normals = np.array([f.normal for f in P.facets], dtype=np.int64)
-    qs = np.array([f.offset.denominator for f in P.facets], dtype=np.int64)
-    ps = np.array([f.offset.numerator for f in P.facets], dtype=np.int64)
-    bound = (
-        int(np.abs(normals).sum(axis=1).max())
-        * (max(map(abs, lo + hi)) or 1)
-        * int(qs.max())
-    )
-    if bound >= 2**62:  # keep the int64 arithmetic exact
+    box, normals, qs, ps, width = _row_constants(P)
+    lo = [-((-m * a) // 1) for a, _ in box]
+    hi = [(m * b) // 1 for _, b in box]
+    if width * (max(map(abs, lo + hi)) or 1) >= 2**62:
+        # keep the int64 arithmetic exact
         raise ValueError("coefficients too large for exact int64 filtering")
 
+    n = P.dim
     if n > 1:
         axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
         mesh = np.meshgrid(*axes[:-1], indexing="ij")
@@ -668,12 +687,11 @@ def _lattice_rows(P: LatticePolytope, m: int):
     return prefixes[keep], row_lo[keep], row_hi[keep]
 
 
-def lattice_points(P: LatticePolytope, m: int = 1) -> np.ndarray:
-    """Integer points of the dilation mP as a C-contiguous (N, n) int64
-    array in lexicographic row order, expanded from ``_lattice_rows``."""
+def _expand_rows(prefixes, lo, hi) -> np.ndarray:
+    """The points of rows ``(prefixes, lo, hi)`` as a C-contiguous (N, n)
+    int64 array, row after row."""
     import numpy as np
 
-    prefixes, lo, hi = _lattice_rows(P, m)
     counts = hi - lo + 1
     # each row's first point with its last coordinate moved back by the
     # row's start index, so adding the point index completes every row
@@ -681,6 +699,37 @@ def lattice_points(P: LatticePolytope, m: int = 1) -> np.ndarray:
     pts = np.repeat(firsts, counts, axis=0)
     pts[:, -1] += np.arange(pts.shape[0])
     return pts
+
+
+def lattice_points(P: LatticePolytope, m: int = 1) -> np.ndarray:
+    """Integer points of the dilation mP as a C-contiguous (N, n) int64
+    array in lexicographic row order, expanded from ``_lattice_rows``."""
+    return _expand_rows(*_lattice_rows(P, m))
+
+
+def _lattice_point_blocks(P: LatticePolytope, m: int):
+    """The points of ``lattice_points(P, m)``, in the same order, as
+    successive arrays of whole rows holding at most ``_BLOCK_POINTS``
+    points each; a longer row is first cut into pieces of that length."""
+    import numpy as np
+
+    prefixes, lo, hi = _lattice_rows(P, m)
+    counts = hi - lo + 1
+    pieces = -(-counts // _BLOCK_POINTS)
+    if (pieces > 1).any():
+        row = np.repeat(np.arange(lo.shape[0]), pieces)
+        k = np.arange(row.shape[0]) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        prefixes, lo, hi = prefixes[row], lo[row] + k * _BLOCK_POINTS, hi[row]
+        hi = np.minimum(hi, lo + (_BLOCK_POINTS - 1))
+        counts = hi - lo + 1
+    ends = np.cumsum(counts)
+    start = 0
+    while start < lo.shape[0]:
+        # the rows that end within _BLOCK_POINTS of this block's first point
+        first = int(ends[start] - counts[start])
+        stop = int(np.searchsorted(ends, first + _BLOCK_POINTS, side="right"))
+        yield _expand_rows(prefixes[start:stop], lo[start:stop], hi[start:stop])
+        start = stop
 
 
 class LatticeStats(NamedTuple):

@@ -63,13 +63,15 @@ class WeightTable:
     N_m and exact moment vector, summed from the lattice rows of mP by
     ``lattice_geom.lattice_stats``; its atoms are enumerated afresh on
     every ``atoms``/``alphas``/``dims`` call and never kept, so repeated
-    calls return equal arrays but not the same objects, and memory holds
-    at most one degree's points at a time.
+    calls return equal arrays but not the same objects.  The brute-force
+    c0 and the Duistermaat-Heckman sample stream one block of at most 2^16
+    points at a time (``_atom_blocks``), so they never hold a whole degree.
 
     Invariants checked per degree: rows non-empty, multiplicities >= 1,
     and every weight satisfies |alpha|_2 <= C*m where C^2 =
     ``weight_bound_sq`` (exact rational); a toric degree takes its largest
-    |alpha|^2 from the rows, and every enumeration must match its count.
+    |alpha|^2 from the rows, and every ``atoms`` enumeration must match
+    its count.
     """
 
     def __init__(self, dim, m_max, blocks, source, weight_bound_sq,
@@ -157,6 +159,29 @@ class WeightTable:
                 f"the lattice rows count {count}"
             )
         return alphas, np.ones(count, dtype=np.int64)
+
+    def _atom_blocks(self, m: int):
+        """Iterator over (alphas, dims) of a checked degree m in lex order,
+        in blocks of at most ``lattice_geom._BLOCK_POINTS`` rows.  A toric
+        table gives dims None, as every multiplicity is 1; an external table
+        gives views of its stored arrays.  It keeps no block it has handed
+        out, so a caller that drops each block holds one at a time."""
+        step = lg._BLOCK_POINTS
+        if self._polytope is None:
+            alphas, dims = self._blocks[m]
+            return (
+                (alphas[i : i + step], dims[i : i + step])
+                for i in range(0, alphas.shape[0], step)
+            )
+        self._degree_stats(m)  # the degree's emptiness and bound checks
+        blocks = lg._lattice_point_blocks(self._polytope, m)
+        return map(lambda alphas: (alphas, None), blocks)
+
+    def _rows(self, m: int) -> int:
+        """Number of weight rows at a checked degree m."""
+        if self._polytope is None:
+            return self._blocks[m][0].shape[0]
+        return self._degree_stats(m)[0]
 
     def alphas(self, m) -> np.ndarray:
         return self.atoms(m)[0]
@@ -399,24 +424,26 @@ def total_weight(T: WeightTable, xi, m):
     return sum((mi * ci for mi, ci in zip(moment, xe)), Fraction(0))
 
 
-def _fsum(terms: np.ndarray) -> float:
-    """math.fsum(terms), the correctly rounded sum, computed in integers.
+# frexp's exponents of finite doubles are >= -1073 and mantissas carry 53
+# bits, so every finite double is an integer multiple of 2^_FSUM_UNIT
+_FSUM_LOW = -1073
+_FSUM_UNIT = _FSUM_LOW - 53
+
+
+def _exact_block_sum(terms: np.ndarray):
+    """The exact sum of one block of terms as a Python int in units of
+    2^_FSUM_UNIT, or None when a term is not finite or the block holds 2^26
+    terms or more.
 
     A finite double is a 53-bit integer mantissa times a power of two.
     Split into 27- and 26-bit halves, the mantissas add up exactly per
     exponent in float64 bincounts (every partial sum is an integer below
     2^53 while there are fewer than 2^26 terms), and the per-exponent sums
-    add up exactly as Python ints; one correctly rounded division ends it.
-    Its cost does not grow with the terms' dynamic range, where math.fsum
-    keeps ever more partials.  Non-finite terms, longer inputs and a sum
-    that overflows go to math.fsum, which then gives its own answer or
-    error.
-    """
+    add up exactly as Python ints."""
     if terms.size >= 2**26 or not np.isfinite(terms).all():
-        return math.fsum(terms.tolist())
+        return None
     mant, exps = np.frexp(terms)
-    low = int(exps.min(initial=0))
-    exps = exps.astype(np.intp) - low
+    exps = exps.astype(np.intp) - _FSUM_LOW
     mant *= 2.0**27
     high = np.floor(mant)
     mant -= high
@@ -428,23 +455,61 @@ def _fsum(terms: np.ndarray) -> float:
         total += int(high_sums[e]) << (e + 26)
     for e in np.flatnonzero(low_sums).tolist():
         total += int(low_sums[e]) << e
-    shift = low - 53
-    try:
-        return float(total << shift) if shift >= 0 else total / (1 << -shift)
-    except OverflowError:
-        return math.fsum(terms.tolist())
+    return total
+
+
+def _fsum_blocks(blocks) -> float:
+    """math.fsum over the terms of every array that ``blocks()`` yields,
+    the correctly rounded sum of their concatenation, computed in integers.
+
+    The blocks' exact sums (``_exact_block_sum``) add up as one Python int
+    and one correctly rounded division ends it, so the result does not
+    depend on where the blocks are cut, and its cost does not grow with the
+    terms' dynamic range, where math.fsum keeps ever more partials.  Each
+    block is dropped once summed.  Non-finite terms, a block of 2^26 terms
+    or more and a sum that overflows go to math.fsum over a second pass of
+    ``blocks()``, which then gives its own answer or error.
+    """
+    total = 0
+    for exact in map(_exact_block_sum, blocks()):
+        if exact is None:
+            break
+        total += exact
+    else:
+        try:
+            return total / (1 << -_FSUM_UNIT)
+        except OverflowError:
+            pass
+    return math.fsum(x for terms in blocks() for x in terms.tolist())
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """math.fsum(terms): ``_fsum_blocks`` of the one block ``terms``."""
+    return _fsum_blocks(lambda: (terms,))
 
 
 def c0_bruteforce(T: WeightTable, xi, m) -> float:
     """Finite-m normalization sum n! m^{-n} sum_alpha e^{-<alpha,xi>/m} dim,
-    with the inner sum correctly rounded (``_fsum``)."""
+    with the inner sum correctly rounded (``_fsum_blocks``) over the
+    degree's atom blocks, so no call holds the whole degree.  The terms are
+    not negative, so a sum beyond the double range is inf, its correctly
+    rounded value."""
     m = T._check_degree(m)
     xf = as_float_vector(xi, T.dim)
-    alphas, dims = T.atoms(m)
-    with np.errstate(over="ignore"):
-        terms = np.exp(-(alphas @ xf) / m) * dims
+    T.count(m)  # the degree's own checks raise here, not in the handler below
+
+    def terms(block):
+        alphas, dims = block
+        with np.errstate(over="ignore"):
+            exps = np.exp(-(alphas @ xf) / m)
+            return exps if dims is None else exps * dims
+
+    try:
+        total = _fsum_blocks(lambda: map(terms, T._atom_blocks(m)))
+    except OverflowError:
+        total = math.inf
     scale = math.factorial(T.dim) / float(m) ** T.dim
-    return scale * _fsum(terms)
+    return scale * total
 
 
 class LipschitzCheck(NamedTuple):
@@ -596,18 +661,26 @@ class DHSample:
 
 def dh_measure(T: WeightTable, xi, m) -> DHSample:
     """Duistermaat-Heckman sample of the table at degree m in direction
-    xi.  Atoms with exactly equal lambda (after the float division) are
-    merged, with masses accumulated in exact integers before the single
-    division by N_m."""
+    xi.  The lambdas fill one array block by block.  Atoms with exactly
+    equal lambda (after the float division) are merged: with unit
+    multiplicities (a toric table) their masses are the counts, otherwise
+    they are accumulated in exact integers, before the single division by
+    N_m."""
     m = T._check_degree(m)
     xf = as_float_vector(xi, T.dim)
-    alphas, dims = T.atoms(m)
-    lambdas = (alphas @ xf) / m
-    uniq, inverse = np.unique(lambdas, return_inverse=True)
-    weights = np.zeros(uniq.shape[0], dtype=np.int64)
-    np.add.at(weights, inverse, dims)
-    n_total = int(np.sum(dims))
-    masses = weights / n_total
+    lambdas = np.empty(T._rows(m))
+    start = 0
+    for alphas, _ in T._atom_blocks(m):
+        stop = start + alphas.shape[0]
+        np.divide(alphas @ xf, m, out=lambdas[start:stop])
+        start = stop
+    if T._polytope is not None:
+        uniq, weights = np.unique(lambdas, return_counts=True)
+    else:
+        uniq, inverse = np.unique(lambdas, return_inverse=True)
+        weights = np.zeros(uniq.shape[0], dtype=np.int64)
+        np.add.at(weights, inverse, T.dims(m))
+    masses = weights / T.count(m)
     bound = T.weight_bound * float(np.linalg.norm(xf))
     return DHSample(
         level=m,

@@ -6,6 +6,7 @@ and compared against direct library calls, and the determinism contract
 """
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -171,6 +172,33 @@ def test_direction_past_double_range_exit_2(runner, command, xi, stage):
     assert line.startswith(f"error: --xi {xi}: ") and stage in line
 
 
+@pytest.mark.parametrize(
+    "args,where,quantity",
+    [
+        (["invariants", "--xi", "709.5,0", "--oracle", "8"], "--oracle 8", "c0_bruteforce"),
+        (["invariants", "--xi", "900,0", "--oracle", "8"], "--oracle 8", "c0"),
+        (["dh", "--m", "4", "--xi", "800,0"], "--xi 800,0", "exp_moment"),
+        (["dh", "--m", "4", "--xi", "-800,0", "--bins", "3"], "--xi -800,0", "exp_moment"),
+    ],
+)
+def test_non_finite_weight_statistic_exit_2(runner, args, where, quantity):
+    """A brute-force c0, c0 or DH moment past the double range is named on
+    one stderr line, with no report."""
+    res = runner.invoke(main, args[:1] + [path_of("square")] + args[1:])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith(f"error: {where}")
+    assert line.endswith(f": {quantity} is inf, not finite")
+
+
+def test_oracle_just_inside_the_double_range_reports(runner):
+    doc = run_json(
+        runner, ["invariants", path_of("square"), "--xi", "700,0", "--oracle", "8"]
+    )
+    assert math.isfinite(float(doc["report"]["oracle"]["c0_bruteforce"]))
+
+
 def test_invariants_oracle_section(runner):
     doc = run_json(
         runner,
@@ -198,35 +226,57 @@ def test_report_bodies_byte_identical(runner):
 
 
 # recorded report digests of the benchmark's CLI catalogue; a key is
-# "<subcommand> <corpus name>[ <xi>]" (the bench runs optimize with --trace)
-REFERENCE_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+# "<kind> <corpus name>[ <xi>]", and the catalogue gives each key's argv
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GATED_KINDS = ("optimize", "invariants", "invariants-oracle", "dh", "dh-bins")
 
 
 def recorded_report_digests():
-    with open(REFERENCE_JSON, encoding="utf-8") as fh:
+    with open(PERFBENCH / "reference.json", encoding="utf-8") as fh:
         cli = json.load(fh)["cli"]
     return {
         key: ref["sha256"]
         for key, ref in cli.items()
-        if key.split()[0] in ("optimize", "invariants")
+        if key.split()[0] in GATED_KINDS
     }
 
 
+def bench_cli_catalogue():
+    """key -> argv of every CLI invocation the benchmark draws, from
+    ``perfbench/workloads.cli_catalogue``, loaded without running it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {key: argv for key, (_, argv) in workloads.cli_catalogue().items()}
+
+
 RECORDED_DIGESTS = recorded_report_digests()
+BENCH_ARGV = bench_cli_catalogue()
 
 
 @pytest.mark.parametrize("key", sorted(RECORDED_DIGESTS))
 def test_report_bytes_match_recorded_digests(runner, tmp_path, key):
-    """Every optimize and invariants report body re-serializes to the
+    """Every optimize, invariants (with and without --oracle) and dh (atoms
+    and histogram) report body the benchmark draws re-serializes to the
     recorded bytes, so a drift in any reported digit fails here."""
-    sub, name, *xi = key.split()
     out = tmp_path / "report.json"
-    args = [sub, path_of(name)]
-    args += ["--xi", xi[0]] if xi else ["--trace"]
-    res = runner.invoke(main, args + ["--output", str(out)])
+    args = [
+        path_of(a[1]) if isinstance(a, tuple) else str(out) if a == "report.json" else a
+        for a in BENCH_ARGV[key]
+    ]
+    res = runner.invoke(main, args)
     assert res.exit_code == 0, res.output
     body = json.dumps(json.loads(out.read_text())["report"], indent=2).encode()
     assert hashlib.sha256(body).hexdigest() == RECORDED_DIGESTS[key]
+
+
+def test_byte_gate_covers_the_weight_paths():
+    kinds = [key.split()[0] for key in RECORDED_DIGESTS]
+    assert {kind: kinds.count(kind) for kind in GATED_KINDS} == {
+        "optimize": 8, "invariants": 32, "invariants-oracle": 24, "dh": 32, "dh-bins": 32,
+    }
 
 
 def test_output_file_option(runner, tmp_path):

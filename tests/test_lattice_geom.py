@@ -610,6 +610,30 @@ def test_lattice_rows_match_box_oracle_on_random_polytopes(seed):
     assert_rows_match_oracle(P, DILATIONS)
 
 
+@pytest.mark.parametrize(
+    "name,m", [("interval", 40000), ("square", 200), ("blowup_two", 150), ("cube", 32)]
+)
+def test_point_blocks_cut_lattice_points_at_rows(polytopes, name, m):
+    """The blocks concatenate to lattice_points, hold at most
+    _BLOCK_POINTS points each, and are filled greedily with whole rows; a
+    row is cut only when it is longer than a block (the interval's single
+    row of 80001 points), and then into full blocks and a rest."""
+    P, size = polytopes[name], lg._BLOCK_POINTS
+    blocks = list(lg._lattice_point_blocks(P, m))
+    whole = lg.lattice_points(P, m)
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    assert all(b.dtype == np.int64 and b.flags.c_contiguous for b in blocks)
+    assert max(len(b) for b in blocks) <= size
+    prefixes, counts = np.unique(whole[:, :-1], axis=0, return_counts=True)
+    row_len = dict(zip(map(tuple, prefixes.tolist()), counts.tolist()))
+    for a, b in zip(blocks, blocks[1:]):
+        if (a[-1, :-1] == b[0, :-1]).all():  # a cut inside one row
+            assert row_len[tuple(b[0, :-1].tolist())] > size and len(a) == size
+        else:  # the next row, or its first piece, did not fit
+            assert len(a) + min(row_len[tuple(b[0, :-1].tolist())], size) > size
+    assert len(blocks) > 1
+
+
 def test_lattice_stats_exact_beyond_int64():
     """The sums of [-5e9, 7e9] leave int64 (sum 1.2e19, largest |x|^2
     4.9e19); the counts come from the closed forms in Python ints."""

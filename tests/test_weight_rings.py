@@ -68,18 +68,19 @@ def test_counts_match_lattice_enumeration(polytopes):
 
 def test_toric_table_enumerates_only_for_atoms(monkeypatch):
     """A toric table keeps per-degree counts and moments from the lattice
-    rows: the statistics enumerate no point, and each atom call enumerates
-    its degree exactly once and keeps nothing."""
+    rows: the statistics enumerate no point, each brute-force c0 and DH
+    call streams its degree's blocks exactly once, and atom calls keep
+    nothing."""
     calls = []
-    points = lg.lattice_points
+    blocks = lg._lattice_point_blocks
     monkeypatch.setattr(
-        lg, "lattice_points", lambda P, m: calls.append(m) or points(P, m)
+        lg, "_lattice_point_blocks", lambda P, m: calls.append(m) or blocks(P, m)
     )
     P = corpus.load_corpus("blowup_two")
     T = wr.weight_table_toric(P, 128)
     xi = (0.3, -0.7)
-    assert T.count(5) == len(points(P, 5))
-    assert T.moment(7) == tuple(int(c) for c in points(P, 7).sum(axis=0))
+    assert T.count(5) == len(lg.lattice_points(P, 5))
+    assert T.moment(7) == tuple(int(c) for c in lg.lattice_points(P, 7).sum(axis=0))
     wr.total_weight(T, xi, 9)
     wr.fit_b0_b1(T, xi)
     wr.weight_character(T, xi, 0.3, 128)
@@ -366,10 +367,9 @@ def test_c0_bruteforce_small_cases():
     assert wr.c0_bruteforce(T, (0.0,), 10) == pytest.approx(2.1, rel=1e-15)
 
 
-def test_fsum_matches_math_fsum_bit_for_bit():
-    """_fsum is the correctly rounded sum, as math.fsum is: equal bits on
-    wide dynamic ranges, subnormals, cancellations and half-ulp ties, and
-    the same answer or error on inf, nan and overflow."""
+def fsum_cases():
+    """Wide dynamic ranges, subnormals, cancellations, half-ulp ties, inf,
+    nan and overflow, as float arrays."""
     rng = np.random.default_rng(53)
     cases = [
         [1.0, 2.0**-53],
@@ -387,16 +387,34 @@ def test_fsum_matches_math_fsum_bit_for_bit():
         cases.append(np.exp(rng.uniform(-700, 700, n)) * rng.integers(1, 4, n))
         cases.append(rng.integers(-(2**53), 2**53, n) * 2.0 ** rng.integers(-1100, 960, n))
         cases.append(rng.standard_normal(n) * 5e-324 * rng.integers(1, 1000, n))
+    return [np.array(values, dtype=float) for values in cases]
 
-    def outcome(fn, values):
-        try:
-            return repr(fn(values))
-        except (OverflowError, ValueError) as exc:
-            return repr(exc)
 
-    for values in cases:
-        arr = np.array(values, dtype=float)
-        assert outcome(wr._fsum, arr) == outcome(math.fsum, arr.tolist()), values
+def fsum_outcome(fn, values):
+    try:
+        return repr(fn(values))
+    except (OverflowError, ValueError) as exc:
+        return repr(exc)
+
+
+def test_fsum_matches_math_fsum_bit_for_bit():
+    """_fsum is the correctly rounded sum, as math.fsum is: equal bits on
+    wide dynamic ranges, subnormals, cancellations and half-ulp ties, and
+    the same answer or error on inf, nan and overflow."""
+    for arr in fsum_cases():
+        assert fsum_outcome(wr._fsum, arr) == fsum_outcome(math.fsum, arr.tolist()), arr
+
+
+def test_blocked_fsum_matches_fsum_of_the_concatenation():
+    """Cut at random boundaries, empty blocks included, every case sums to
+    the bits of _fsum over the whole array, or raises the same error."""
+    rng = np.random.default_rng(59)
+    for arr in fsum_cases():
+        for _ in range(3):
+            cuts = np.sort(rng.integers(0, arr.size + 1, int(rng.integers(0, 6))))
+            blocks = np.split(arr, cuts)
+            got = fsum_outcome(lambda b: wr._fsum_blocks(lambda: iter(b)), blocks)
+            assert got == fsum_outcome(wr._fsum, arr), (arr, cuts)
 
 
 def test_c0_bruteforce_converges_to_exact():
@@ -470,6 +488,108 @@ def test_c0_estimate_extrapolates():
     small = wr.weight_table_toric(P, 3)
     with pytest.raises(InsufficientDegrees):
         wr.c0_estimate(small, xi)
+
+
+def oneshot_c0_bruteforce(T, xi, m):
+    """c0_bruteforce as it was before the degree was streamed in blocks:
+    every term of the degree at once, summed by math.fsum."""
+    xf = wr.as_float_vector(xi, T.dim)
+    alphas, dims = T.atoms(m)
+    with np.errstate(over="ignore"):
+        terms = np.exp(-(alphas @ xf) / m) * dims
+    return math.factorial(T.dim) / float(m) ** T.dim * math.fsum(terms.tolist())
+
+
+def oneshot_dh_measure(T, xi, m):
+    """dh_measure's (lambdas, masses) as they were before the degree was
+    streamed in blocks: one product, one inverse and np.add.at."""
+    xf = wr.as_float_vector(xi, T.dim)
+    alphas, dims = T.atoms(m)
+    lambdas = (alphas @ xf) / m
+    uniq, inverse = np.unique(lambdas, return_inverse=True)
+    weights = np.zeros(uniq.shape[0], dtype=np.int64)
+    np.add.at(weights, inverse, dims)
+    return uniq, weights / int(np.sum(dims))
+
+
+def assert_streamed_statistics_match_oneshot(T, m, directions):
+    for xi in directions:
+        got = wr.c0_bruteforce(T, xi, m)
+        assert got.hex() == oneshot_c0_bruteforce(T, xi, m).hex(), xi
+        D = wr.dh_measure(T, xi, m)
+        lambdas, masses = oneshot_dh_measure(T, xi, m)
+        assert D.lambdas.tobytes() == lambdas.tobytes(), xi
+        assert D.masses.tobytes() == masses.tobytes(), xi
+
+
+def stream_directions(n, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (0.0,) * n,
+        (0.01,) + (0.0,) * (n - 2) + (-0.01,) * (n > 1),
+        tuple(rng.uniform(-2, 2, n)),
+        tuple(rng.uniform(-300, 300, n)),
+    ]
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+def test_streamed_statistics_bitwise_equal_to_oneshot(polytopes, name):
+    """c0_bruteforce and dh_measure at each corpus table's top degree (the
+    benchmark's depths: 32 for the cube, 128 otherwise) give the bits of
+    the whole-degree computation."""
+    P = polytopes[name]
+    depth = 32 if P.dim == 3 else 128
+    T = wr.weight_table_toric(P, depth)
+    assert_streamed_statistics_match_oneshot(T, depth, stream_directions(P.dim, 61))
+
+
+def test_streamed_statistics_bitwise_equal_to_oneshot_on_csv(tmp_path):
+    """An external table whose degree 2 spans three blocks, with
+    multiplicities 1..4, streams views of its stored rows to the same bits."""
+    side = 371  # 371^2 = 137641 rows > 2 * 2^16
+    assert side * side > 2 * lg._BLOCK_POINTS
+    grid = np.stack(np.meshgrid(np.arange(side), np.arange(side), indexing="ij"), -1)
+    alphas = grid.reshape(-1, 2) - side // 2
+    dims = 1 + (alphas[:, 0] * 7 + alphas[:, 1] * 3) % 4
+    path = tmp_path / "wide.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("m,a1,a2,dim\n1,0,0,1\n")
+        fh.writelines(f"2,{a},{b},{d}\n" for (a, b), d in zip(alphas.tolist(), dims.tolist()))
+    T = wr.load_weight_table(path)
+    assert T.m_max == 2 and T.count(2) == int(dims.sum())
+    assert len(list(T._atom_blocks(2))) == 3
+    assert_streamed_statistics_match_oneshot(T, 2, stream_directions(2, 67))
+
+
+def test_streamed_statistics_stay_below_a_block_budget():
+    """On the cube at depth 32 (274,625 points, 6.6 MB as int64) neither
+    statistic builds the whole degree: traced peaks below 4 MiB for
+    c0_bruteforce and 8 MiB for dh_measure (the whole-degree code peaked
+    at 16.8 and 21.2 MiB)."""
+    import tracemalloc
+
+    T = wr.weight_table_toric(corpus.load_corpus("cube"), 32)
+    xi = (0.3, -0.5, 0.2)
+    T.count(32)  # the degree's exact statistics, kept by the table
+    for fn, budget in ((wr.c0_bruteforce, 4), (wr.dh_measure, 8)):
+        tracemalloc.start()
+        try:
+            fn(T, xi, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget * 2**20, (fn.__name__, peak)
+
+
+def test_c0_bruteforce_beyond_the_double_range_is_inf():
+    """The terms are positive, so a sum past the largest double is inf
+    (its correctly rounded value), while _fsum keeps math.fsum's error."""
+    T = wr.weight_table_toric(corpus.load_corpus("square"), 8)
+    assert wr.c0_bruteforce(T, (709.5, 0), 8) == math.inf  # finite terms
+    assert wr.c0_bruteforce(T, (900, 0), 8) == math.inf  # exp overflows
+    assert math.isfinite(wr.c0_bruteforce(T, (700, 0), 8))
+    with pytest.raises(OverflowError):
+        wr._fsum(np.array([1e308, 1e308]))
 
 
 # ---------------------------------------------------------------------------
