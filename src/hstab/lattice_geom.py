@@ -17,10 +17,16 @@ The lattice points of mP are read as rows: for each prefix
 from the facet inequalities.  ``lattice_points`` expands the rows, already
 in lex order; ``_lattice_point_blocks`` expands them a block of at most
 2^16 points at a time, so a caller that streams a degree never holds it
-whole; and ``lattice_stats`` sums them (count, moment vector, largest
-squared norm) without ever building a point.  The lattice-enumeration
-functions are the only ones here that import numpy, and they do it when
-called.
+whole; and ``_row_stats`` sums them (count, moment vector, largest
+squared norm) without ever building a point.  ``lattice_stats`` reads
+those statistics of a lattice polytope from its Ehrhart polynomials
+(Brion & Vergne, JAMS 10, 1997): the count and each moment coordinate are
+integer-valued polynomials in m of degrees n and n + 1, interpolated once
+per polytope from the row sums at m = 1..n + 1 and the known values at
+m = 0, so each degree costs O(1).  A polytope with a rational vertex has
+quasi-polynomials instead and is summed over its rows at every m.  The
+lattice-enumeration functions are the only ones here that import numpy,
+and they do it when called.
 
 Torus directions are coerced here too, by one rule: ``as_exact_vector``
 gives Fractions and ``as_float_vector`` a tuple of finite floats.
@@ -740,12 +746,11 @@ class LatticeStats(NamedTuple):
     max_norm_sq: int  # largest |alpha|^2; 0 when there is no point
 
 
-def lattice_stats(P: LatticePolytope, m: int = 1) -> LatticeStats:
-    """Count, moment vector and largest squared norm of the integer points
-    of mP, summed over ``_lattice_rows`` without building a point: a row
-    lo..hi over prefix x' holds hi - lo + 1 points, adds x' times that to
-    the first n - 1 coordinates and (lo + hi)(hi - lo + 1)/2 to the last.
-    """
+def _row_stats(P: LatticePolytope, m: int) -> LatticeStats:
+    """``lattice_stats`` summed over ``_lattice_rows`` without building a
+    point: a row lo..hi over prefix x' holds hi - lo + 1 points, adds x'
+    times that to the first n - 1 coordinates and (lo + hi)(hi - lo + 1)/2
+    to the last."""
     import numpy as np
 
     prefixes, lo, hi = _lattice_rows(P, m)
@@ -761,6 +766,70 @@ def lattice_stats(P: LatticePolytope, m: int = 1) -> LatticeStats:
         count=int(counts.sum()),
         moment=tuple(int(c.sum()) for c in cols),
         max_norm_sq=int(norms.max()) if norms.size else 0,
+    )
+
+
+@_memoized
+def _ehrhart_nodes(P: LatticePolytope):
+    """Interpolation data of the Ehrhart polynomials of a lattice polytope,
+    or None when P has a rational vertex.
+
+    N_m = |mP /\\ Z^n| has degree n in m and each coordinate of the moment
+    sum_{alpha in mP} alpha degree n + 1, so both are fixed by their values
+    at the K = n + 2 nodes j = 0..n + 1: count 1 and moment 0 at j = 0, and
+    the row sums at j >= 1.  Each node value is stored times its integer
+    Lagrange weight (K-1)! / prod_{i != j} (j - i) = (-1)^(K-1-j) C(K-1, j).
+    Also returns max_v |v|^2, which |alpha|^2 reaches on mP at m v."""
+    if not P.is_lattice():
+        return None
+    k = P.dim + 2
+    weighted = []
+    for j in range(k):
+        count, moment = _row_stats(P, j)[:2] if j else (1, (0,) * P.dim)
+        w = (-1) ** (k - 1 - j) * math.comb(k - 1, j)
+        weighted.append((w * count, tuple(w * c for c in moment)))
+    peak = max(sum(int(c) ** 2 for c in v) for v in P.vertices)
+    return tuple(weighted), peak
+
+
+def _exact_quotient(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(
+            f"Ehrhart interpolation left remainder {r} over {den}: "
+            "the row sums are not polynomial in m"
+        )
+    return q
+
+
+def lattice_stats(P: LatticePolytope, m: int = 1) -> LatticeStats:
+    """Count, moment vector and largest squared norm of the integer points
+    of mP, exact in Python ints.
+
+    On a lattice polytope the count and the moment are evaluated from
+    their Ehrhart polynomials (``_ehrhart_nodes``), so a degree costs O(1)
+    once the row sums at m = 1..n + 1 are known, and the largest squared
+    norm is m^2 max_v |v|^2.  A polytope with a rational vertex has
+    Ehrhart quasi-polynomials instead, and is summed over its rows.
+    """
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"dilation factor must be a positive integer, got {m!r}")
+    nodes = _ehrhart_nodes(P)
+    if nodes is None:
+        return _row_stats(P, m)
+    weighted, peak = nodes
+    k = len(weighted)
+    den = math.factorial(k - 1)
+    basis = [math.prod(m - i for i in range(k) if i != j) for j in range(k)]
+    count = sum(b * c for b, (c, _) in zip(basis, weighted))
+    moment = [
+        sum(b * mom[i] for b, (_, mom) in zip(basis, weighted))
+        for i in range(P.dim)
+    ]
+    return LatticeStats(
+        count=_exact_quotient(count, den),
+        moment=tuple(_exact_quotient(c, den) for c in moment),
+        max_norm_sq=m * m * peak,
     )
 
 

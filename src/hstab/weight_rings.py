@@ -60,18 +60,20 @@ class WeightTable:
     A table built from explicit blocks (external data) keeps its rows; it
     must cover every degree 1..m_max with nondecreasing total dimension.
     A toric table (built on a ``polytope``) keeps only each degree's count
-    N_m and exact moment vector, summed from the lattice rows of mP by
-    ``lattice_geom.lattice_stats``; its atoms are enumerated afresh on
-    every ``atoms``/``alphas``/``dims`` call and never kept, so repeated
-    calls return equal arrays but not the same objects.  The brute-force
-    c0 and the Duistermaat-Heckman sample stream one block of at most 2^16
-    points at a time (``_atom_blocks``), so they never hold a whole degree.
+    N_m and exact moment vector, evaluated from the Ehrhart polynomials of
+    P by ``lattice_geom.lattice_stats`` at O(1) cost per degree; its atoms
+    are enumerated afresh on every ``atoms``/``alphas``/``dims`` call and
+    never kept, so repeated calls return equal arrays but not the same
+    objects.  The brute-force c0 and the Duistermaat-Heckman sample stream
+    one block of at most 2^16 points at a time (``_atom_blocks``), so they
+    never hold a whole degree.
 
     Invariants checked per degree: rows non-empty, multiplicities >= 1,
     and every weight satisfies |alpha|_2 <= C*m where C^2 =
     ``weight_bound_sq`` (exact rational); a toric degree takes its largest
-    |alpha|^2 from the rows, and every ``atoms`` enumeration must match
-    its count.
+    |alpha|^2 from ``lattice_stats``, and every ``atoms`` enumeration must
+    match its count, which checks the polynomial against an independent
+    enumeration.
     """
 
     def __init__(self, dim, m_max, blocks, source, weight_bound_sq,
@@ -156,7 +158,7 @@ class WeightTable:
         if alphas.shape[0] != count:
             raise ValueError(
                 f"degree {m}: enumerated {alphas.shape[0]} weights, "
-                f"the lattice rows count {count}"
+                f"lattice_stats counts {count}"
             )
         return alphas, np.ones(count, dtype=np.int64)
 
@@ -611,7 +613,9 @@ def c0_lipschitz_check(P, xi, xi2) -> LipschitzCheck:
 def c0_estimate(T: WeightTable, xi) -> float:
     """c0 estimate from table data alone: Richardson extrapolation of
     c0_bruteforce in 1/m over the top four available degrees.  Intended
-    for external tables with no polytope behind them."""
+    for external tables with no polytope behind them.  A degree whose sum
+    overflows makes the estimate inf, as in c0_bruteforce: the alternating
+    Lagrange weights would turn inf into nan."""
     if T.m_max < 4:
         raise InsufficientDegrees(
             f"extrapolation needs m_max >= 4, table has {T.m_max}"
@@ -619,6 +623,8 @@ def c0_estimate(T: WeightTable, xi) -> float:
     ms = list(range(T.m_max - 3, T.m_max + 1))
     hs = [1.0 / m for m in ms]
     ys = [c0_bruteforce(T, xi, m) for m in ms]
+    if math.inf in ys:
+        return math.inf
     # Lagrange interpolation evaluated at h = 0
     total = 0.0
     for i in range(len(ms)):

@@ -228,54 +228,78 @@ def test_report_bodies_byte_identical(runner):
 # recorded report digests of the benchmark's CLI catalogue; a key is
 # "<kind> <corpus name>[ <xi>]", and the catalogue gives each key's argv
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-GATED_KINDS = ("optimize", "invariants", "invariants-oracle", "dh", "dh-bins")
+GATED_KINDS = ("optimize", "invariants", "invariants-oracle", "dh", "dh-bins", "character")
 
 
-def recorded_report_digests():
+def recorded_cli_references():
     with open(PERFBENCH / "reference.json", encoding="utf-8") as fh:
-        cli = json.load(fh)["cli"]
-    return {
-        key: ref["sha256"]
-        for key, ref in cli.items()
-        if key.split()[0] in GATED_KINDS
-    }
+        return json.load(fh)["cli"]
 
 
-def bench_cli_catalogue():
-    """key -> argv of every CLI invocation the benchmark draws, from
-    ``perfbench/workloads.cli_catalogue``, loaded without running it."""
+def bench_workloads():
+    """``perfbench/workloads``, loaded without running it."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return {key: argv for key, (_, argv) in workloads.cli_catalogue().items()}
+    return workloads
 
 
-RECORDED_DIGESTS = recorded_report_digests()
-BENCH_ARGV = bench_cli_catalogue()
+RECORDED_CLI = recorded_cli_references()
+# the default-depth cube character has no digest: its reference is the
+# exact b0 and b1 (see the test below)
+RECORDED_DIGESTS = {
+    key: ref["sha256"]
+    for key, ref in RECORDED_CLI.items()
+    if key.split()[0] in GATED_KINDS and "sha256" in ref
+}
+BENCH = bench_workloads()
+# key -> argv of every CLI invocation the benchmark draws
+BENCH_ARGV = {key: argv for key, (_, argv) in BENCH.cli_catalogue().items()}
+
+
+def run_bench_argv(runner, tmp_path, argv):
+    """Run one benchmark argv in process; returns its report."""
+    out = tmp_path / "report.json"
+    args = [
+        path_of(a[1]) if isinstance(a, tuple) else str(out) if a == "report.json" else a
+        for a in argv
+    ]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    return json.loads(out.read_text())["report"]
 
 
 @pytest.mark.parametrize("key", sorted(RECORDED_DIGESTS))
 def test_report_bytes_match_recorded_digests(runner, tmp_path, key):
-    """Every optimize, invariants (with and without --oracle) and dh (atoms
-    and histogram) report body the benchmark draws re-serializes to the
-    recorded bytes, so a drift in any reported digit fails here."""
-    out = tmp_path / "report.json"
-    args = [
-        path_of(a[1]) if isinstance(a, tuple) else str(out) if a == "report.json" else a
-        for a in BENCH_ARGV[key]
-    ]
-    res = runner.invoke(main, args)
-    assert res.exit_code == 0, res.output
-    body = json.dumps(json.loads(out.read_text())["report"], indent=2).encode()
+    """Every optimize, invariants (with and without --oracle), dh (atoms
+    and histogram) and polygon character report body the benchmark draws
+    re-serializes to the recorded bytes, so a drift in any reported digit
+    fails here."""
+    report = run_bench_argv(runner, tmp_path, BENCH_ARGV[key])
+    body = json.dumps(report, indent=2).encode()
     assert hashlib.sha256(body).hexdigest() == RECORDED_DIGESTS[key]
+
+
+def test_cube_default_character_matches_recorded_exact_coefficients(runner, tmp_path):
+    """The benchmark's default-depth cube character, checked as the
+    benchmark checks it: exit 0, the exact b0 and b1 equal to the recorded
+    ones, and both Laurent errors below 1e-6."""
+    ref = RECORDED_CLI["character cube default"]
+    _, argv = BENCH.CUBE_DEFAULT
+    report = run_bench_argv(runner, tmp_path, argv)
+    assert ref["exit"] == 0
+    for k in ("b0", "b1"):
+        assert report["exact"][k] == ref[k]
+        assert float(report["exact"][f"{k}_error"]) < 1e-6
 
 
 def test_byte_gate_covers_the_weight_paths():
     kinds = [key.split()[0] for key in RECORDED_DIGESTS]
     assert {kind: kinds.count(kind) for kind in GATED_KINDS} == {
         "optimize": 8, "invariants": 32, "invariants-oracle": 24, "dh": 32, "dh-bins": 32,
+        "character": 24,
     }
 
 

@@ -639,11 +639,80 @@ def test_lattice_stats_exact_beyond_int64():
     4.9e19); the counts come from the closed forms in Python ints."""
     lo, hi = -5 * 10**9, 7 * 10**9
     P = lg.build_polytope([(lo,), (hi,)])
-    for m in (1, 2):
+    for m in (1, 2, 10**6, 10**9):
         count = m * (hi - lo) + 1
         assert lg.lattice_stats(P, m) == (
             count, (m * (lo + hi) * count // 2,), m * m * hi * hi
         )
+    # past the int64 row guard only the enumeration still refuses
+    with pytest.raises(ValueError, match="too large"):
+        lg.lattice_points(P, 10**9)
+
+
+def assert_polynomial_stats_match_rows(P, top):
+    for m in range(1, top + 1):
+        assert lg.lattice_stats(P, m) == lg._row_stats(P, m), m
+
+
+def test_ehrhart_stats_match_row_sums_on_corpus(polytopes):
+    """Past m = n + 1 the statistics come from the polynomials, which the
+    row sums check degree by degree."""
+    for name, P in polytopes.items():
+        assert_polynomial_stats_match_rows(P, 14 if P.dim == 3 else 40)
+
+
+@pytest.mark.parametrize("a,b", PRODUCTS)
+def test_ehrhart_stats_match_row_sums_on_products(polytopes, a, b):
+    P = lg.build_polytope(product_points(polytopes[a], polytopes[b]))
+    assert_polynomial_stats_match_rows(P, 7)
+
+
+def test_ehrhart_stats_match_row_sums_on_a_translate(polytopes):
+    """An integer translate is a lattice polytope with the origin outside
+    (blowup_two moved by (3, -2)) or on a vertex (cube moved by (1, 1, 1))."""
+    assert_polynomial_stats_match_rows(lg.translate(polytopes["blowup_two"], (3, -2)), 30)
+    assert_polynomial_stats_match_rows(lg.translate(polytopes["cube"], (1, 1, 1)), 10)
+
+
+def monomial_coefficients(values):
+    """Coefficients, lowest degree first, of the polynomial of degree
+    len(values) - 1 that takes the given values at m = 0, 1, 2, ..., as
+    Fractions: Newton forward differences expanded over falling
+    factorials."""
+    coeffs = [Fraction(0)] * len(values)
+    diffs = [Fraction(v) for v in values]
+    falling = [Fraction(1)]  # m (m - 1) ... (m - k + 1), lowest degree first
+    for k in range(len(values)):
+        for i, c in enumerate(falling):
+            coeffs[i] += diffs[0] / math.factorial(k) * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        falling = [Fraction(0)] + falling
+        for i in range(len(falling) - 1):
+            falling[i] -= k * falling[i + 1]
+    return coeffs
+
+
+def test_ehrhart_leading_coefficients_are_the_exact_moments(polytopes):
+    """N_m = vol m^n + (sigma(dP)/2) m^(n-1) + ... and sum alpha =
+    (int_P x) m^(n+1) + (int_dP x dsigma / 2) m^n + ..., as Fractions, and
+    no term of higher degree: the polynomials through m = 0..n + 3."""
+    cases = dict(polytopes)
+    cases["blowup_two+(3,-2)"] = lg.translate(polytopes["blowup_two"], (3, -2))
+    cases["blowup_one x square"] = lg.build_polytope(
+        product_points(polytopes["blowup_one"], polytopes["square"])
+    )
+    for name, P in cases.items():
+        n = P.dim
+        stats = [lg.lattice_stats(P, m) for m in range(1, n + 4)]
+        count = monomial_coefficients([1] + [s.count for s in stats])
+        assert not any(count[n + 1 :]), name
+        sigma = lg.boundary_integral(P, AffineForm.constant(1, dim=n))
+        assert count[n] == lg.volume(P) and count[n - 1] == sigma / 2, name
+        for i in range(n):
+            mom = monomial_coefficients([0] + [s.moment[i] for s in stats])
+            assert not any(mom[n + 2 :]), (name, i)
+            assert mom[n + 1] == lg.moment_vector(P)[i], (name, i)
+            assert mom[n] == lg.boundary_moment_vector(P)[i] / 2, (name, i)
 
 
 def test_translate_conjugates_lattice_points():

@@ -96,6 +96,36 @@ def test_toric_table_enumerates_only_for_atoms(monkeypatch):
     assert first is not again and first.tobytes() == again.tobytes()
 
 
+@pytest.mark.parametrize("name", ["interval", "hexagon", "cube"])
+def test_toric_statistics_take_at_most_n_plus_one_row_passes(monkeypatch, name):
+    """Every degree's count and moment comes from the Ehrhart polynomials,
+    interpolated from the row sums at m = 1..n + 1: the whole table's
+    statistics read the lattice rows n + 1 times, once per node."""
+    rows = []
+    lattice_rows = lg._lattice_rows
+    monkeypatch.setattr(
+        lg, "_lattice_rows", lambda P, m: rows.append(m) or lattice_rows(P, m)
+    )
+    P = corpus.load_corpus(name)
+    T = wr.weight_table_toric(P, 128)
+    xi = (0.3, -0.7, 0.2)[: P.dim]
+    for m in range(1, 129):
+        T.count(m), T.moment(m)
+    wr.fit_b0_b1(T, xi)
+    wr.weight_character(T, xi, 0.3, 128)
+    wr.laurent_fit(T, xi)
+    assert sorted(rows) == list(range(1, P.dim + 2))
+
+
+def test_c0_estimate_is_inf_when_a_degree_overflows():
+    """The four top-degree sums are inf, which the alternating Lagrange
+    weights of the extrapolation would turn into nan."""
+    T = wr.weight_table_toric(corpus.load_corpus("square"), 8)
+    xi = (-709.5, 0)
+    assert all(wr.c0_bruteforce(T, xi, m) == math.inf for m in range(5, 9))
+    assert wr.c0_estimate(T, xi) == math.inf
+
+
 def test_toric_table_requires_reflexive():
     P = lg.build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(NotReflexive):
