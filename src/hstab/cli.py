@@ -13,10 +13,11 @@ Reports are JSON documents {"manifest": ..., "report": ...}; every float
 is a 17-significant-digit decimal string and every exact rational a "p/q"
 string, so report bodies are byte-identical across runs with the same
 inputs (the manifest carries the wall-clock duration, the report never
-does).  Diagnostics go to stderr only.  Exit codes: 0 ok, 2 parse or
-invalid parameters, 3 not reflexive, 4 unbounded direction (q = (n+1)/n
-* barycenter is not interior to P; ``direction`` is a facet witness), 5
-non-convergence.
+does).  Diagnostics go to stderr only.  Exit codes: 0 ok, 1 an internal
+numerical check failed (one ``error:`` line names the stage, the direction
+and DF - H there), 2 parse or invalid parameters, 3 not reflexive, 4
+unbounded direction (q = (n+1)/n * barycenter is not interior to P;
+``direction`` is a facet witness), 5 non-convergence.
 
 ``check`` and ``invariants`` run without numpy: ``weight_rings``,
 ``optimal_degeneration`` and numpy are imported inside the subcommands
@@ -98,6 +99,28 @@ def _jsonify(value):
     if isinstance(items, Real) and not isinstance(items, bool):
         return _jsonify(items)
     return str(value)
+
+
+def _numerical_failure(stage: str, exc: ArithmeticError, P, xi) -> None:
+    """Exit 1 on an internal numerical check that failed at direction xi,
+    with one line naming the stage, the check, xi and DF - H there, taken
+    afresh by the unchecked formulas (``df_raw`` exact, ``h_raw``)."""
+    gap = float(inv.df_raw(P, xi)) - inv.h_raw(P, xi)
+    direction = ",".join(repr(float(c)) for c in xi)
+    _fail(
+        1,
+        f"{stage}: an internal numerical check failed at xi = {direction}: "
+        f"{exc} (DF - H = {gap:.17g})",
+    )
+
+
+def _ascent_iterate(exc: BaseException, fn):
+    """The iterate ``xi`` held by the frame of ``fn`` that ``exc`` was
+    raised through: the direction at which the ascent's check failed."""
+    tb = exc.__traceback__
+    while tb.tb_frame.f_code is not fn.__code__:
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals["xi"]
 
 
 def _sha256(path: str) -> str:
@@ -196,6 +219,8 @@ def cmd_invariants(path: str, xi_text: str, oracle_m, output) -> None:
         _fail(EXIT_NOT_REFLEXIVE, exc)
     except ValueError as exc:  # a direction the float moment pass cannot take
         _fail(EXIT_PARSE, f"--xi {xi_text}: {exc}")
+    except ArithmeticError as exc:
+        _numerical_failure("invariants", exc, P, xi)
     body = {
         "polytope_name": report.polytope_name,
         "dim": report.dim,
@@ -259,6 +284,8 @@ def cmd_optimize(path: str, tol: float, max_iter: int, trace: bool, output) -> N
         _fail(EXIT_NOT_REFLEXIVE, exc)
     except ValueError as exc:
         _fail(EXIT_PARSE, exc)
+    except ArithmeticError as exc:
+        _numerical_failure("optimize", exc, P, _ascent_iterate(exc, od.maximize_h))
     body = {
         "polytope_name": P.name,
         "dim": P.dim,

@@ -14,19 +14,24 @@ sets.
 
 The lattice points of mP are read as rows: for each prefix
 (x_1, ..., x_{n-1}) the last coordinate runs over one integer interval cut
-from the facet inequalities.  ``lattice_points`` expands the rows, already
-in lex order; ``_lattice_point_blocks`` expands them a block of at most
-2^16 points at a time, so a caller that streams a degree never holds it
-whole; and ``_row_stats`` sums them (count, moment vector, largest
-squared norm) without ever building a point.  ``lattice_stats`` reads
-those statistics of a lattice polytope from its Ehrhart polynomials
-(Brion & Vergne, JAMS 10, 1997): the count and each moment coordinate are
-integer-valued polynomials in m of degrees n and n + 1, interpolated once
-per polytope from the row sums at m = 1..n + 1 and the known values at
-m = 0, so each degree costs O(1).  A polytope with a rational vertex has
-quasi-polynomials instead and is summed over its rows at every m.  The
-lattice-enumeration functions are the only ones here that import numpy,
-and they do it when called.
+from the facet inequalities.  Everything the rows read of P apart from m
+(the vertex box as integer fractions, the facets split by the sign of
+their last coefficient into int64 matrices, the int64 guard) is computed
+once per polytope, so a degree's rows cost a few integer array operations
+over the prefixes of the box of mP, with no Fraction.  ``lattice_points``
+expands the rows, already in lex order; ``_lattice_point_blocks`` expands
+them a block of at most 2^16 points at a time, so a caller that streams a
+degree never holds it whole; and ``_row_stats`` sums them (count, moment
+vector, largest squared norm) without ever building a point.
+``lattice_stats`` reads those statistics of a lattice polytope from its
+Ehrhart polynomials (Brion & Vergne, JAMS 10, 1997): the count and each
+moment coordinate are integer-valued polynomials in m of degrees n and
+n + 1, interpolated once per polytope from the row sums at m = 1..n + 1
+and the known values at m = 0, so each degree costs O(1).  A polytope
+with a rational vertex has quasi-polynomials instead and is summed over
+its rows at every m.  A degree is a Python or numpy integer, never a bool
+(``_is_integer``).  The lattice-enumeration functions are the only ones
+here that import numpy, and they do it when called.
 
 Torus directions are coerced here too, by one rule: ``as_exact_vector``
 gives Fractions and ``as_float_vector`` a tuple of finite floats.
@@ -61,7 +66,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Number, Rational
+from numbers import Integral, Number, Rational
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DegeneratePolytope, NonRationalInput, ParseError
@@ -632,23 +637,47 @@ def b0_b1_exact(P: LatticePolytope, xi):
 _BLOCK_POINTS = 2**16
 
 
+def _is_integer(m) -> bool:
+    """True for a Python or numpy integer; a bool is not one.  The one
+    test of a degree (or dilation factor) that every caller shares."""
+    return isinstance(m, Integral) and not isinstance(m, bool)
+
+
 @_memoized
 def _row_constants(P: LatticePolytope) -> tuple:
-    """What ``_lattice_rows`` reads of P at every m: the vertex box as
-    Fractions (lowest and highest coordinate per axis), the facet normals,
-    offset denominators and offset numerators as int64 arrays, and the
-    factor max_F |v_F|_1 * max_F q_F of the int64 bound guard."""
+    """What ``_lattice_rows`` reads of P at every m, in integers.
+
+    ``box`` gives per axis the lowest and highest vertex coordinate as
+    (numerator, denominator, numerator, denominator).  With facet offset
+    p/q the facet inequality <v, alpha> <= m p/q reads
+    c x_n <= m p - <q v', x'> with c = q v_n, so the facets are split by
+    the sign of c into three groups: ``up`` (c > 0) bounds x_n above,
+    ``down`` (c < 0) below, and ``flat`` (c = 0) keeps or drops a whole
+    prefix.  Each group is (the C-contiguous (n-1, F_g) int64 matrix of
+    the q v', its p's, its |c|'s).  ``width`` = max_F |v_F|_1 * max_F q_F
+    is the factor of the int64 guard: |m p| and every |<q v', x'>| over
+    the box of mP are at most width * (1 + the box's largest |coordinate|)."""
     import numpy as np
 
-    box = [
-        (min(v[i] for v in P.vertices), max(v[i] for v in P.vertices))
-        for i in range(P.dim)
-    ]
+    box = []
+    for i in range(P.dim):
+        col = [v[i] for v in P.vertices]
+        a, b = min(col), max(col)
+        box.append((a.numerator, a.denominator, b.numerator, b.denominator))
     normals = np.array([f.normal for f in P.facets], dtype=np.int64)
     qs = np.array([f.offset.denominator for f in P.facets], dtype=np.int64)
     ps = np.array([f.offset.numerator for f in P.facets], dtype=np.int64)
     width = int(np.abs(normals).sum(axis=1).max()) * int(qs.max())
-    return box, normals, qs, ps, width
+    coef = qs * normals[:, -1]
+    groups = tuple(
+        (
+            np.ascontiguousarray((qs[sel, None] * normals[sel, :-1]).T),
+            ps[sel],
+            np.abs(coef[sel]),
+        )
+        for sel in (coef > 0, coef < 0, coef == 0)
+    )
+    return box, width, groups
 
 
 def _lattice_rows(P: LatticePolytope, m: int):
@@ -660,36 +689,48 @@ def _lattice_rows(P: LatticePolytope, m: int):
     Membership is exact: with facet offset c = p/q the condition
     <v, alpha> <= m * c reads q * v_n * x_n <= m * p - q * <v', x'> in
     integers, which bounds x_n above when v_n > 0, below when v_n < 0, and
-    keeps or drops the whole prefix when v_n = 0.
+    keeps or drops the whole prefix when v_n = 0.  Everything but m is
+    read from ``_row_constants``, so a call is a few int64 array
+    operations over the prefixes of the box of mP.
     """
-    if not isinstance(m, int) or m < 1:
+    if not _is_integer(m) or m < 1:
         raise ValueError(f"dilation factor must be a positive integer, got {m!r}")
     import numpy as np
 
-    box, normals, qs, ps, width = _row_constants(P)
-    lo = [-((-m * a) // 1) for a, _ in box]
-    hi = [(m * b) // 1 for _, b in box]
+    m = int(m)
+    box, width, (up, down, flat) = _row_constants(P)
+    lo = [-(-m * a // b) for a, b, _, _ in box]
+    hi = [m * c // d for _, _, c, d in box]
     if width * (max(map(abs, lo + hi)) or 1) >= 2**62:
         # keep the int64 arithmetic exact
         raise ValueError("coefficients too large for exact int64 filtering")
 
     n = P.dim
-    if n > 1:
-        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-        mesh = np.meshgrid(*axes[:-1], indexing="ij")
-        prefixes = np.stack([a.reshape(-1) for a in mesh], axis=1)
-    else:
+    if n == 1:
         prefixes = np.zeros((1, 0), dtype=np.int64)
-    rhs = m * ps - qs * (prefixes @ normals[:, :-1].T)  # (rows, facets)
-    coef = qs * normals[:, -1]
-    row_lo = np.full(prefixes.shape[0], lo[-1], dtype=np.int64)
-    row_hi = np.full(prefixes.shape[0], hi[-1], dtype=np.int64)
-    up, down = coef > 0, coef < 0
-    if up.any():
-        row_hi = np.minimum(row_hi, (rhs[:, up] // coef[up]).min(axis=1))
-    if down.any():  # ceil(rhs / coef) for coef < 0
-        row_lo = np.maximum(row_lo, (-(rhs[:, down] // -coef[down])).max(axis=1))
-    keep = (row_lo <= row_hi) & np.all(rhs[:, coef == 0] >= 0, axis=1)
+    elif n == 2:
+        prefixes = np.arange(lo[0], hi[0] + 1, dtype=np.int64)[:, None]
+    else:
+        shape = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
+        grid = np.indices(shape, dtype=np.int64).reshape(n - 1, -1)
+        grid += np.array(lo[:-1], dtype=np.int64)[:, None]
+        prefixes = grid.T  # lex order, as np.indices runs in C order
+
+    def floors(group):
+        """floor((m p - <q v', x'>) / |c|) per prefix and facet."""
+        mat, ps, cs = group
+        rhs = prefixes @ mat
+        np.subtract(m * ps, rhs, out=rhs)
+        rhs //= cs
+        return rhs
+
+    row_hi = floors(up).min(axis=1, initial=hi[-1])
+    # c < 0 bounds x_n below by ceil(rhs / c) = -floor(rhs / |c|)
+    row_lo = -floors(down).min(axis=1, initial=-lo[-1])
+    keep = row_lo <= row_hi
+    mat, ps, _ = flat
+    if ps.size:
+        keep &= (prefixes @ mat <= m * ps).all(axis=1)
     return prefixes[keep], row_lo[keep], row_hi[keep]
 
 
@@ -812,8 +853,9 @@ def lattice_stats(P: LatticePolytope, m: int = 1) -> LatticeStats:
     norm is m^2 max_v |v|^2.  A polytope with a rational vertex has
     Ehrhart quasi-polynomials instead, and is summed over its rows.
     """
-    if not isinstance(m, int) or m < 1:
+    if not _is_integer(m) or m < 1:
         raise ValueError(f"dilation factor must be a positive integer, got {m!r}")
+    m = int(m)
     nodes = _ehrhart_nodes(P)
     if nodes is None:
         return _row_stats(P, m)

@@ -61,18 +61,18 @@ class WeightTable:
     must cover every degree 1..m_max with nondecreasing total dimension.
     A toric table (built on a ``polytope``) keeps only each degree's count
     N_m and exact moment vector, evaluated from the Ehrhart polynomials of
-    P by ``lattice_geom.lattice_stats`` at O(1) cost per degree; its atoms
-    are enumerated afresh on every ``atoms``/``alphas``/``dims`` call and
-    never kept, so repeated calls return equal arrays but not the same
-    objects.  The brute-force c0 and the Duistermaat-Heckman sample stream
+    P by ``lattice_geom.lattice_stats`` at O(1) cost per degree; its weights
+    are enumerated afresh on every ``atoms``/``alphas`` call and never
+    kept, so repeated calls return equal arrays but not the same objects,
+    and its ``dims`` are N_m ones built from the count.  The brute-force c0 and the Duistermaat-Heckman sample stream
     one block of at most 2^16 points at a time (``_atom_blocks``), so they
     never hold a whole degree.
 
     Invariants checked per degree: rows non-empty, multiplicities >= 1,
     and every weight satisfies |alpha|_2 <= C*m where C^2 =
     ``weight_bound_sq`` (exact rational); a toric degree takes its largest
-    |alpha|^2 from ``lattice_stats``, and every ``atoms`` enumeration must
-    match its count, which checks the polynomial against an independent
+    |alpha|^2 from ``lattice_stats``, and every enumeration of its weights
+    must match its count, which checks the polynomial against an independent
     enumeration.
     """
 
@@ -140,7 +140,7 @@ class WeightTable:
         return math.sqrt(float(self.weight_bound_sq))
 
     def _check_degree(self, m) -> int:
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+        if not lg._is_integer(m):
             raise ValueError(f"degree must be an integer, got {m!r}")
         if not 1 <= m <= self.m_max:
             raise DegreeOutOfRange(
@@ -150,17 +150,7 @@ class WeightTable:
 
     def atoms(self, m) -> tuple:
         """(alphas, dims) at degree m; one enumeration on a toric table."""
-        m = self._check_degree(m)
-        if self._polytope is None:
-            return self._blocks[m]
-        count, _ = self._degree_stats(m)
-        alphas = lg.lattice_points(self._polytope, m)
-        if alphas.shape[0] != count:
-            raise ValueError(
-                f"degree {m}: enumerated {alphas.shape[0]} weights, "
-                f"lattice_stats counts {count}"
-            )
-        return alphas, np.ones(count, dtype=np.int64)
+        return self.alphas(m), self.dims(m)
 
     def _atom_blocks(self, m: int):
         """Iterator over (alphas, dims) of a checked degree m in lex order,
@@ -186,10 +176,27 @@ class WeightTable:
         return self._degree_stats(m)[0]
 
     def alphas(self, m) -> np.ndarray:
-        return self.atoms(m)[0]
+        """The weight rows at degree m; on a toric table one enumeration,
+        checked against the degree's count."""
+        m = self._check_degree(m)
+        if self._polytope is None:
+            return self._blocks[m][0]
+        count, _ = self._degree_stats(m)
+        alphas = lg.lattice_points(self._polytope, m)
+        if alphas.shape[0] != count:
+            raise ValueError(
+                f"degree {m}: enumerated {alphas.shape[0]} weights, "
+                f"lattice_stats counts {count}"
+            )
+        return alphas
 
     def dims(self, m) -> np.ndarray:
-        return self.atoms(m)[1]
+        """The multiplicities at degree m; on a toric table N_m ones,
+        built from the count without enumerating the degree."""
+        m = self._check_degree(m)
+        if self._polytope is None:
+            return self._blocks[m][1]
+        return np.ones(self._degree_stats(m)[0], dtype=np.int64)
 
     def count(self, m) -> int:
         """N_m = total dimension of the degree-m piece."""
@@ -501,10 +508,14 @@ def c0_bruteforce(T: WeightTable, xi, m) -> float:
     T.count(m)  # the degree's own checks raise here, not in the handler below
 
     def terms(block):
+        # e^{-<alpha, xi>/m} formed in place: d / (-m) rounds to the same
+        # double as -d / m, as IEEE rounding is symmetric in sign
         alphas, dims = block
+        d = alphas @ xf
+        np.divide(d, -m, out=d)
         with np.errstate(over="ignore"):
-            exps = np.exp(-(alphas @ xf) / m)
-            return exps if dims is None else exps * dims
+            np.exp(d, out=d)
+            return d if dims is None else np.multiply(d, dims, out=d)
 
     try:
         total = _fsum_blocks(lambda: map(terms, T._atom_blocks(m)))

@@ -419,6 +419,65 @@ def test_optimize_exit_4_from_facet_certificate(runner, monkeypatch):
     assert "verdict" not in rep and "mu_supremum" not in rep
 
 
+def run_child(args):
+    """``hstab`` in a child process, so stderr is exactly what a shell sees."""
+    src = os.path.dirname(os.path.dirname(wr.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hstab.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=300,
+    )
+
+
+def assert_numerical_failure(res, stage, check):
+    """Exit 1 with no report and one stderr line naming the stage, the
+    failed check, the direction and DF - H there; no traceback."""
+    assert res.returncode == 1
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    (line,) = res.stderr.splitlines()
+    head = f"error: {stage}: an internal numerical check failed at xi = "
+    assert line.startswith(head) and check in line
+    direction, gap = re.fullmatch(
+        re.escape(head) + rf"(\S+): {re.escape(check)} \(DF - H = (\S+)\)", line
+    ).groups()
+    return [float(c) for c in direction.split(",")], float(gap)
+
+
+def test_invariants_negative_jensen_gap_exit_1():
+    """The engine's negative gap at a small cube direction (the numbers
+    stay wrong until the engine is fixed) ends in one line, not a
+    traceback."""
+    xi = "0.0001,0.00005,-0.00007"
+    res = run_child(["invariants", path_of("cube"), "--xi", xi])
+    direction, gap = assert_numerical_failure(
+        res, "invariants", "Jensen gap is negative beyond tolerance"
+    )
+    assert direction == [0.0001, 0.00005, -0.00007]
+    P, parts = corpus.load_corpus("cube"), xi.split(",")
+    assert gap == float(inv.df_raw(P, parts)) - inv.h_raw(P, parts) < -1e-9
+
+
+def test_optimize_df_below_h_exit_1(tmp_path):
+    """maximize_h on the 6-D product blowup_one x blowup_two x square
+    stops with DF below H; the line names the iterate where it did."""
+    factors = [corpus.load_corpus(n) for n in ("blowup_one", "blowup_two", "square")]
+    pts = sorted({u + w + x for u in factors[0].vertices
+                  for w in factors[1].vertices for x in factors[2].vertices})
+    path = tmp_path / "product6.json"
+    path.write_text(json.dumps(
+        {"name": "product6", "dim": 6, "vertices": [[int(c) for c in p] for p in pts]}
+    ))
+    res = run_child(["optimize", str(path)])
+    direction, gap = assert_numerical_failure(
+        res, "optimize", "DF fell below H along the ascent"
+    )
+    assert len(direction) == 6 and any(direction)
+    assert gap < -1e-9
+
+
 # ---------------------------------------------------------------------------
 # dh
 

@@ -610,6 +610,48 @@ def test_lattice_rows_match_box_oracle_on_random_polytopes(seed):
     assert_rows_match_oracle(P, DILATIONS)
 
 
+@pytest.mark.parametrize("a,b,top", [("blowup_one", "cube", 3), ("cube", "cube", 2)])
+def test_lattice_rows_match_box_oracle_past_dim_4(polytopes, a, b, top):
+    """5-D and 6-D products, whose prefixes span four and five axes."""
+    P = lg.build_polytope(product_points(polytopes[a], polytopes[b]))
+    assert P.dim == polytopes[a].dim + polytopes[b].dim
+    assert_rows_match_oracle(P, range(1, top + 1))
+
+
+def test_lattice_rows_build_no_fraction(polytopes, monkeypatch):
+    """Past the memoized per-polytope constants a degree's rows are read
+    in Python ints and int64 arrays alone."""
+    rational = lg.build_polytope([(Fraction(-1, 3), -1), (Fraction(5, 2), 0), (0, 2)])
+    made = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    for P in (polytopes["hexagon"], polytopes["cube"], rational):
+        lg._row_constants(P)
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        for m in (1, 2, 7, 64):
+            lg._lattice_rows(P, m)
+        monkeypatch.undo()
+        assert made == [], P.vertices
+
+
+def test_dilation_factor_is_one_integer_rule(polytopes):
+    """A numpy integer is a degree and a bool is not, for the points and
+    the statistics alike."""
+    P = polytopes["hexagon"]
+    assert lg.lattice_points(P, np.int64(2)).tobytes() == lg.lattice_points(P, 2).tobytes()
+    assert lg.lattice_stats(P, np.int64(5)) == lg.lattice_stats(P, 5)
+    assert lg.lattice_stats(P, np.uint8(9)) == lg.lattice_stats(P, 9)
+    for bad in (True, False, np.bool_(True), 2.0, np.int64(0), "2"):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            lg.lattice_points(P, bad)
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            lg.lattice_stats(P, bad)
+
+
 @pytest.mark.parametrize(
     "name,m", [("interval", 40000), ("square", 200), ("blowup_two", 150), ("cube", 32)]
 )

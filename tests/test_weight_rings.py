@@ -151,6 +151,41 @@ def test_degree_gating():
         T.dims(1.5)
 
 
+def test_degree_accepts_numpy_integers_and_refuses_bools():
+    """The table's degree test is lattice_geom's: a numpy integer is a
+    degree, a bool is not."""
+    T = wr.weight_table_toric(corpus.load_corpus("hexagon"), 4)
+    assert T.count(np.int64(2)) == T.count(2)
+    assert T.alphas(np.int32(3)).tobytes() == T.alphas(3).tobytes()
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            T.count(bad)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            T.alphas(bad)
+
+
+def test_toric_dims_enumerate_nothing(monkeypatch):
+    """dims(m) on a toric table is N_m ones from the count; alphas(m) still
+    enumerates and checks the enumeration against the count."""
+    P = corpus.load_corpus("blowup_two")
+    T = wr.weight_table_toric(P, 8)
+    want = len(lg.lattice_points(P, 8))
+    points = lg.lattice_points
+    monkeypatch.setattr(lg, "lattice_points", lambda *a: pytest.fail("enumerated"))
+    dims = T.dims(8)
+    assert dims.dtype == np.int64 and dims.tolist() == [1] * want
+    monkeypatch.setattr(lg, "lattice_points", points)
+    stats = lg.lattice_stats
+    monkeypatch.setattr(
+        lg, "lattice_stats", lambda P, m: stats(P, m)._replace(count=stats(P, m).count + 1)
+    )
+    T = wr.weight_table_toric(P, 8)
+    with pytest.raises(ValueError, match="enumerated"):
+        T.alphas(3)
+    with pytest.raises(ValueError, match="enumerated"):
+        T.atoms(3)
+
+
 # ---------------------------------------------------------------------------
 # csv interchange
 
