@@ -47,6 +47,7 @@ from .errors import (
     InsufficientDegrees,
     NonRationalInput,
     NotReflexive,
+    NumericalCheckFailed,
     ParseError,
     TruncationTooCoarse,
 )
@@ -101,7 +102,7 @@ def _jsonify(value):
     return str(value)
 
 
-def _numerical_failure(stage: str, exc: ArithmeticError, P, xi) -> None:
+def _numerical_failure(stage: str, exc: NumericalCheckFailed, P, xi) -> None:
     """Exit 1 on an internal numerical check that failed at direction xi,
     with one line naming the stage, the check, xi and DF - H there, taken
     afresh by the unchecked formulas (``df_raw`` exact, ``h_raw``)."""
@@ -112,15 +113,6 @@ def _numerical_failure(stage: str, exc: ArithmeticError, P, xi) -> None:
         f"{stage}: an internal numerical check failed at xi = {direction}: "
         f"{exc} (DF - H = {gap:.17g})",
     )
-
-
-def _ascent_iterate(exc: BaseException, fn):
-    """The iterate ``xi`` held by the frame of ``fn`` that ``exc`` was
-    raised through: the direction at which the ascent's check failed."""
-    tb = exc.__traceback__
-    while tb.tb_frame.f_code is not fn.__code__:
-        tb = tb.tb_next
-    return tb.tb_frame.f_locals["xi"]
 
 
 def _sha256(path: str) -> str:
@@ -219,7 +211,7 @@ def cmd_invariants(path: str, xi_text: str, oracle_m, output) -> None:
         _fail(EXIT_NOT_REFLEXIVE, exc)
     except ValueError as exc:  # a direction the float moment pass cannot take
         _fail(EXIT_PARSE, f"--xi {xi_text}: {exc}")
-    except ArithmeticError as exc:
+    except NumericalCheckFailed as exc:
         _numerical_failure("invariants", exc, P, xi)
     body = {
         "polytope_name": report.polytope_name,
@@ -247,10 +239,9 @@ def cmd_invariants(path: str, xi_text: str, oracle_m, output) -> None:
         _require_finite(
             f"--oracle {oracle_m} at --xi {xi_text}", c0=report.c0, c0_bruteforce=c0_bf
         )
-        n = P.dim
         v = float(lg.normalized_volume(P))
-        h_oracle = -v * math.log(c0_bf / v) - 2 * math.factorial(n - 1) * fit.b1
-        df_oracle = math.factorial(n) * (fit.b0 - (2.0 / n) * fit.b1)
+        h_oracle = inv._h(P, math.log(c0_bf / v), fit.b1)
+        df_oracle = inv._df(P.dim, fit.b0, fit.b1)
         body["oracle"] = {
             "m": oracle_m,
             "c0_bruteforce": c0_bf,
@@ -263,6 +254,7 @@ def cmd_invariants(path: str, xi_text: str, oracle_m, output) -> None:
             "h_from_oracle": h_oracle,
             "df_from_oracle": df_oracle,
         }
+    _require_finite(f"--xi {xi_text}", c0=report.c0)
     _emit("invariants", path, {"xi": xi_text, "oracle": oracle_m}, t0, body, output)
 
 
@@ -284,8 +276,8 @@ def cmd_optimize(path: str, tol: float, max_iter: int, trace: bool, output) -> N
         _fail(EXIT_NOT_REFLEXIVE, exc)
     except ValueError as exc:
         _fail(EXIT_PARSE, exc)
-    except ArithmeticError as exc:
-        _numerical_failure("optimize", exc, P, _ascent_iterate(exc, od.maximize_h))
+    except NumericalCheckFailed as exc:
+        _numerical_failure("optimize", exc, P, exc.xi)
     body = {
         "polytope_name": P.name,
         "dim": P.dim,

@@ -73,3 +73,15 @@ class Inconclusive(HstabError):
     def __init__(self, message, status):
         super().__init__(message)
         self.status = status
+
+
+class NumericalCheckFailed(HstabError, ArithmeticError):
+    """An internal numerical check (a defining identity, the Jensen
+    ordering DF >= H) failed beyond its tolerance.
+
+    ``xi`` carries the direction at which the check failed.
+    """
+
+    def __init__(self, message, xi):
+        super().__init__(message)
+        self.xi = xi

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattice_geom as lg
-from .errors import NotReflexive
+from .errors import NotReflexive, NumericalCheckFailed
 from .lattice_geom import as_exact_vector, as_float_vector, b0_b1_exact
 from .simplex_calculus import exp_moments
 
@@ -54,13 +54,15 @@ def _df(n: int, b0, b1) -> Fraction:
     return math.factorial(n) * (b0 - Fraction(2, n) * b1)
 
 
-def _gap(P, log_ratio: float, b0, b1) -> float:
-    """n! b0 + V log(c0/V), checked against the literal DF - H."""
+def _gap(P, xf: tuple, log_ratio: float, b0, b1) -> float:
+    """n! b0 + V log(c0/V) at xf, checked against the literal DF - H."""
     v = float(lg.normalized_volume(P))
     gap = math.factorial(P.dim) * float(b0) + v * log_ratio
     literal = float(_df(P.dim, b0, b1)) - _h(P, log_ratio, b1)
     if not abs(gap - literal) <= 1e-12 * max(1.0, abs(gap)):
-        raise ArithmeticError("jensen gap disagrees with DF - H beyond roundoff")
+        raise NumericalCheckFailed(
+            "jensen gap disagrees with DF - H beyond roundoff", xf
+        )
     return gap
 
 
@@ -99,7 +101,7 @@ def jensen_gap(P, xi) -> float:
     xf = as_float_vector(xi, P.dim)
     if not any(xf):
         return 0.0
-    return _gap(P, *_log_ratio_b0_b1(P, xf))
+    return _gap(P, xf, *_log_ratio_b0_b1(P, xf))
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ def build_report(P, xi) -> InvariantReport:
     """Aggregate report; raises NotReflexive on non-Fano-normalized input.
 
     The defining identities are re-checked on the assembled fields
-    (ArithmeticError when one fails):
+    (NumericalCheckFailed, carrying the float direction, when one fails):
     H = -V log(c0/V) - 2 (n-1)! b1 and DF = n! (b0 - (2/n) b1) to 1e-12,
     and gap = DF - H >= -1e-9.
     """
@@ -165,7 +167,7 @@ def build_report(P, xi) -> InvariantReport:
         # c0 itself can overflow a double long before its logarithm does
         c0 = math.exp(log_c0) if log_c0 < 709.0 else math.inf
         h = _h(P, log_ratio, b1_f)
-        gap = _gap(P, log_ratio, b0_f, b1_f)
+        gap = _gap(P, xf, log_ratio, b0_f, b1_f)
     else:
         log_ratio = 0.0
         c0 = float(v)
@@ -179,12 +181,12 @@ def build_report(P, xi) -> InvariantReport:
 
     h_again = -float(v) * log_ratio - 2 * math.factorial(n - 1) * float(b1)
     if not abs(h - h_again) <= 1e-12 * max(1.0, abs(h)) + 1e-12:
-        raise ArithmeticError("H does not satisfy its defining identity")
+        raise NumericalCheckFailed("H does not satisfy its defining identity", xf)
     df_again = math.factorial(n) * (float(b0) - (2.0 / n) * float(b1))
     if not abs(df - df_again) <= 1e-12 * max(1.0, abs(df)) + 1e-12:
-        raise ArithmeticError("DF does not satisfy its defining identity")
+        raise NumericalCheckFailed("DF does not satisfy its defining identity", xf)
     if not gap >= -1e-9:
-        raise ArithmeticError("Jensen gap is negative beyond tolerance")
+        raise NumericalCheckFailed("Jensen gap is negative beyond tolerance", xf)
 
     return InvariantReport(
         polytope_name=P.name,

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import lattice_geom as lg
-from .errors import Inconclusive
+from .errors import Inconclusive, NumericalCheckFailed
 from .invariants import df_raw, h_raw, require_reflexive
 from .simplex_calculus import exp_moments
 
@@ -190,7 +190,7 @@ def maximize_h(
         iterations = it + 1
         # Jensen ordering must hold at every iterate
         if not float(df_raw(P, xi)) >= h_val - 1e-9:
-            raise ArithmeticError("DF fell below H along the ascent")
+            raise NumericalCheckFailed("DF fell below H along the ascent", xi)
 
     # a converged run or a failed line search ends where it last evaluated
     if last is None:

@@ -25,13 +25,14 @@ recursion on sorted nodes, switching to the mean-shifted series
 
 (h_k the complete homogeneous symmetric polynomials) whenever a block of
 nodes spans at most 1e-4, so confluent and clustered nodes lose no
-accuracy to cancellation.  Both halves are output-sensitive: a tight block
-is summed only when the recursion reads it, so a node set that is one
-tight block costs a single series, and the series builds h_k one degree
-at a time and stops at its first negligible term.  Within one moment pass
-each distinct vertex is converted once, each distinct node set evaluated
-once and each tight block summed once per pass; nothing is kept after the
-pass returns.
+accuracy to cancellation.  The recursion runs down one column, and a tight
+entry is summed only when a wider entry reads it, so a node set that is
+one tight block costs a single series; the series builds h_k one degree
+at a time and stops at its first negligible term.  One moment pass keeps
+one memo keyed by sorted node tuple, holding whole node sets and the
+tight blocks they read alike, so each distinct vertex is converted once
+and each distinct tuple evaluated once per pass; nothing is kept after
+the pass returns.
 """
 
 from __future__ import annotations
@@ -210,37 +211,37 @@ def _series_block(nodes: Sequence[float]) -> float:
     return _safe_exp(mu) * total
 
 
-def _tight_block(xs: tuple, blocks: dict) -> float:
-    """Series value of the tight block xs, summed once per ``blocks``."""
-    val = blocks.get(xs)
-    if val is None:
-        val = blocks[xs] = _series_block(xs)
-    return val
-
-
-def _divided_difference(xs: tuple, blocks: dict) -> float:
-    """exp[xs] for a nonempty sorted tuple of finite floats.  Tight blocks
-    are read through ``blocks``, so a caller that keeps the dict across
-    node sets sums each of them once."""
+def _divided_difference(xs: tuple, memo: dict) -> float:
+    """exp[xs] for a nonempty sorted tuple of finite floats.  ``memo`` maps
+    every sorted tuple evaluated so far, whole node set or tight block, to
+    its value; a caller that keeps it across node sets evaluates each of
+    them once."""
+    val = memo.get(xs)
+    if val is not None:
+        return val
     k = len(xs)
-    if k > 1 and xs[-1] - xs[0] <= _SERIES_SPAN:
-        return _tight_block(xs, blocks)
-    # table[i][j] holds exp[xs[i..j]]; None marks a tight block not read yet
-    table = [[None] * k for _ in range(k)]
-    for i in range(k):
-        table[i][i] = _safe_exp(xs[i])
-    for span in range(1, k):
-        for i in range(k - span):
-            j = i + span
-            gap = xs[j] - xs[i]
-            if gap > _SERIES_SPAN:
-                hi, lo = table[i + 1][j], table[i][j - 1]
-                if hi is None:
-                    hi = table[i + 1][j] = _tight_block(xs[i + 1 : j + 1], blocks)
-                if lo is None:
-                    lo = table[i][j - 1] = _tight_block(xs[i:j], blocks)
-                table[i][j] = (hi - lo) / gap
-    return table[0][k - 1]
+    if xs[-1] - xs[0] <= _SERIES_SPAN:
+        val = _series_block(xs) if k > 1 else _safe_exp(xs[0])
+    else:
+        # col[i] holds exp[xs[i..i+span]]; None marks a tight entry, which a
+        # wider entry reads through the memo
+        col = [_safe_exp(x) for x in xs]
+        for span in range(1, k):
+            for i in range(k - span):
+                j = i + span
+                gap = xs[j] - xs[i]
+                if gap > _SERIES_SPAN:
+                    hi, lo = col[i + 1], col[i]
+                    if hi is None:
+                        hi = col[i + 1] = _divided_difference(xs[i + 1 : j + 1], memo)
+                    if lo is None:
+                        lo = _divided_difference(xs[i:j], memo)
+                    col[i] = (hi - lo) / gap
+                else:
+                    col[i] = None
+        val = col[0]
+    memo[xs] = val
+    return val
 
 
 def exp_divided_difference(nodes) -> float:
@@ -286,8 +287,8 @@ def exp_moments(simplices, xi, order: int = 2):
     overflow for any xi.  i1/i2 are None below the requested order, which
     must be 0, 1 or 2.  Accumulation across simplices uses exact
     compensated summation in the order the simplices are given.  Each
-    distinct vertex object is converted once, each distinct sorted node set
-    evaluated once and each tight block summed once per call, so shared
+    distinct vertex object is converted once, and each distinct sorted
+    tuple, node set or tight block, evaluated once per call, so shared
     vertices, repeated node sets and clusters they share cost nothing extra.
     A direction whose nodes leave the double range, or whose shifted mass
     i0 underflows to 0, raises ValueError.
@@ -330,15 +331,10 @@ def exp_moments(simplices, xi, order: int = 2):
     # exp[...] depends only on the sorted nodes, and simplices meeting at
     # a vertex, or entries of one simplex, repeat node sets; the sets in
     # turn share their tight blocks
-    dds = {}
-    blocks = {}
+    memo = {}
 
     def dd(nodes) -> float:
-        key = tuple(sorted(nodes))
-        val = dds.get(key)
-        if val is None:
-            val = dds[key] = _divided_difference(key, blocks)
-        return val
+        return _divided_difference(tuple(sorted(nodes)), memo)
 
     nfact = math.factorial(n)
 

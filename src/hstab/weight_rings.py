@@ -584,13 +584,6 @@ def c0_exact(P, xi) -> float:
     return math.factorial(P.dim) * (_safe_exp(shift) * i0)
 
 
-def log_c0_exact(P, xi) -> float:
-    """log c0(xi), stable for directions of any magnitude."""
-    xf = as_float_vector(xi, P.dim)
-    shift, i0, _, _ = exp_moments(lg.triangulate(P).simplices, xf, order=0)
-    return math.log(math.factorial(P.dim)) + shift + math.log(i0)
-
-
 def max_vertex_norm(P) -> float:
     """R_P = max Euclidean vertex norm (float, rounded up one ulp so the
     exact value never exceeds it)."""

@@ -179,6 +179,7 @@ def test_direction_past_double_range_exit_2(runner, command, xi, stage):
         (["invariants", "--xi", "900,0", "--oracle", "8"], "--oracle 8", "c0"),
         (["dh", "--m", "4", "--xi", "800,0"], "--xi 800,0", "exp_moment"),
         (["dh", "--m", "4", "--xi", "-800,0", "--bins", "3"], "--xi -800,0", "exp_moment"),
+        (["invariants", "--xi", "900,0"], "--xi 900,0", "c0"),
     ],
 )
 def test_non_finite_weight_statistic_exit_2(runner, args, where, quantity):

@@ -20,7 +20,7 @@ import hstab.lattice_geom as lg
 import hstab.optimal_degeneration as od
 import hstab.simplex_calculus as sc
 from hstab import corpus
-from hstab.errors import Inconclusive, NotReflexive
+from hstab.errors import Inconclusive, NotReflexive, NumericalCheckFailed
 
 
 def fd_gradient(P, xi, h=1e-5):
@@ -354,6 +354,27 @@ def test_failed_line_search_ends_as_max_iterations(monkeypatch):
     assert res.status == "max_iterations" and res.iterations == 0
     assert len(res.trace) == 1 and not res.xi_star.any()
     assert res.direction is None
+
+
+def test_ascent_check_failure_carries_the_iterate(monkeypatch):
+    """DF below H after the first step raises NumericalCheckFailed, an
+    ArithmeticError whose ``xi`` is the iterate where the check failed:
+    the first step's end point."""
+    P = corpus.load_corpus("blowup_one")
+    first = od.maximize_h(P, max_iter=1).xi_star
+    assert first.any()
+    seen = []
+
+    def below_h(P, xi):
+        seen.append(xi.copy())
+        return Fraction(-1)
+
+    monkeypatch.setattr(od, "df_raw", below_h)
+    with pytest.raises(NumericalCheckFailed, match="DF fell below H") as info:
+        od.maximize_h(P)
+    assert isinstance(info.value, ArithmeticError)
+    assert len(seen) == 1
+    assert info.value.xi.tolist() == seen[0].tolist() == first.tolist()
 
 
 def test_trace_disabled_by_default():

@@ -193,6 +193,45 @@ def test_dd_bitwise_equal_to_full_table(seed):
         assert got.hex() == full_table_series(sorted(nodes)).hex(), nodes
 
 
+def tight_sub_ranges(xs):
+    """Every run xs[i:j] of two or more sorted nodes spanning <= 1e-4."""
+    return [
+        xs[i:j]
+        for i in range(len(xs))
+        for j in range(i + 2, len(xs) + 1)
+        if xs[j - 1] - xs[i] <= 1e-4
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_shared_memo_bitwise_equal_to_full_table(seed, monkeypatch):
+    """One memo across node sets, as a moment pass keeps it, with the tight
+    runs of each set also asked for as whole sets: after the set (met
+    first as a block a wider entry read) or before it (met first as a
+    node set).  Every value keeps the full table's bits, and the series
+    runs once per distinct tuple."""
+    calls = []
+    series = sc._series_block
+
+    def counting(nodes):
+        calls.append(tuple(nodes))
+        return series(nodes)
+
+    monkeypatch.setattr(sc, "_series_block", counting)
+    memo = {}
+    hits = 0
+    for t, nodes in enumerate(seeded_node_sets(seed)):
+        xs = tuple(sorted(float(x) for x in nodes))
+        runs = tight_sub_ranges(xs)
+        order = [xs] + runs if t % 2 else runs + [xs]
+        for ys in order:
+            hits += ys in memo
+            got = sc._divided_difference(ys, memo)
+            assert got.hex() == full_table_dd(ys).hex(), (ys, xs)
+    assert len(calls) == len(set(calls)) > 0
+    assert hits > 0
+
+
 def test_dd_coincident_nodes_run_one_series(monkeypatch):
     """k equal nodes are one clustered block: the series runs once, where
     the full table ran it for all k(k-1)/2 off-diagonal entries."""
@@ -652,11 +691,11 @@ def count_calls(monkeypatch, owner, name):
 
 def test_origin_pass_evaluates_three_node_sets(polytopes, monkeypatch):
     """At xi = 0 every node is zero: an order-2 pass on square x square
-    needs exp over 5, 6 and 7 zeros, once each (1008 calls without the
-    per-call deduplication)."""
+    needs exp over 5, 6 and 7 zeros, each one tight node set summed once,
+    so 3 series (1008 without the per-call deduplication)."""
     simplices = lg.triangulate(named_polytope(polytopes, "squarexsquare")).simplices
     assert len(simplices) == 48
-    calls = count_calls(monkeypatch, sc, "_divided_difference")
+    calls = count_calls(monkeypatch, sc, "_series_block")
     exp_moments(simplices, [0.0] * 4, order=2)
     assert len(calls) == 3
 
