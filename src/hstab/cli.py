@@ -42,8 +42,6 @@ from . import lattice_geom as lg
 from .errors import (
     DegeneratePolytope,
     EmptyDegree,
-    HstabError,
-    Inconclusive,
     InsufficientDegrees,
     NonRationalInput,
     NotReflexive,

@@ -3,7 +3,7 @@
 Eight small anticanonical polytopes ship with the package as JSON files:
 the interval, the square, the plane triangle and its polar dual, the
 hexagon, the one- and two-point blow-up polytopes, and the 3-cube.  All
-are reflexive; five have barycenter zero and the two blow-ups do not.
+are reflexive; six have barycenter zero and the two blow-ups do not.
 """
 
 from __future__ import annotations

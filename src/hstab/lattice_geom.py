@@ -40,11 +40,13 @@ Derived data (reflexivity, triangulation, volume, moment vectors) is
 memoized on the polytope itself, so it lives exactly as long as the
 polytope does.  Determinants are taken in Python ints: the vertices (and
 the triangulation base) are scaled by their common denominator D, which
-is 1 for a lattice polytope.  The volume and the interior and boundary
-moment vectors come from one integer pass over the triangulation: each
-cone's volume (its simplex's own determinant) and each facet piece's
-measure times its vertex sum, with one Fraction built per output
-coordinate.
+is 1 for a lattice polytope.  The star triangulation, the volume and the
+interior and boundary moment vectors come from one integer pass, which
+builds the decomposition and sums as it goes each cone's determinant
+(its volume) and each facet piece's det(edges, v_F) (its measure), times
+their vertex sums, with one Fraction built per output coordinate.  The
+two determinants stay separate, so sigma(dP) = n vol(P) checks one
+against the other.
 
 Conventions:
   * A polytope is stored by its lex-sorted vertex matrix together with its
@@ -430,23 +432,24 @@ def _fan_face(face: frozenset, facets: Sequence[frozenset], d: int):
     return sorted(simplices)
 
 
-def _facet_measure(
-    piece: Sequence[Sequence[int]], normal, den: int
-) -> Fraction:
-    """Lattice-normalized measure of an (n-1)-simplex lying in a facet with
-    primitive integer normal v:  |det(edges, v)| / ((n-1)! * <v, v>).
-    ``piece`` holds the vertices scaled to integers by D, so the edge rows
-    are integers and det(D * edges, v) = D^(n-1) det(edges, v)."""
-    n = len(normal)
-    rows = [[a - b for a, b in zip(p, piece[0])] for p in piece[1:]]
-    rows.append(list(normal))
-    return Fraction(
-        abs(_int_det(rows)),
-        den ** (n - 1) * math.factorial(n - 1) * sum(v * v for v in normal),
-    )
+def _star_triangulation(P: LatticePolytope, base) -> tuple:
+    """(decomposition, volume, moment vector, boundary moment vector) of P
+    from one integer pass over its star triangulation over ``base`` (None
+    picks the default base).
 
+    P's vertices and the base are scaled to integers by their common
+    denominator D, so with n! D^n vol(S) = w_S for a cone S and
+    (n-1)! D^(n-1) <v_F, v_F> sigma(T) = m_T for a facet piece T in F,
+    both integers,
 
-def _star_triangulation(P: LatticePolytope, base) -> SimplicialDecomposition:
+        vol    = sum w_S / (n! D^n)
+        mom_i  = sum w_S (S's scaled vertex sum)_i / (n! D^(n+1) (n + 1))
+        bmom_i = sum m_T (T's scaled vertex sum)_i / ((n-1)! D^n <v_F, v_F> n)
+
+    and one Fraction is built per output coordinate, over the lcm of the
+    <v_F, v_F>.  w_S is the cone's own determinant |det(v_i - base)| and
+    m_T the piece's |det(edges, v_F)|, so the boundary identity
+    sigma(dP) = n vol(P) stays a check of two independent determinants."""
     n = P.dim
     if base is None:
         if all(f.offset > 0 for f in P.facets):
@@ -459,36 +462,43 @@ def _star_triangulation(P: LatticePolytope, base) -> SimplicialDecomposition:
     if not all(_dot(f.normal, base) < f.offset for f in P.facets):
         raise ValueError(f"triangulation base {base} is not strictly interior")
 
-    # P's vertices and the base scaled together by their common denominator
-    # D, so each cone's n! D^n vol is the integer |det(scaled v_i - base)|
     den, scaled = _scaled_points(P.vertices + (base,))
     origin = scaled[-1]
     cone_den = math.factorial(n) * den**n
+    facet_den = math.factorial(n - 1) * den ** (n - 1)
+    norms = [sum(v * v for v in f.normal) for f in P.facets]
+    common = math.lcm(*norms)
     facet_sets = [frozenset(f.vertex_ids) for f in P.facets]
-    simplices = []
-    pieces = []
-    for fid, facet in enumerate(P.facets):
+    simplices, pieces = [], []
+    vol, mom, bmom = 0, [0] * n, [0] * n
+    for fid, (facet, norm) in enumerate(zip(P.facets, norms)):
         for ids in _fan_face(facet_sets[fid], facet_sets, n - 1):
             tri = tuple(P.vertices[i] for i in ids)
-            pieces.append(
-                FacetPiece(
-                    facet_id=fid,
-                    vertices=tri,
-                    measure=_facet_measure(
-                        [scaled[i] for i in ids], facet.normal, den
-                    ),
-                )
-            )
-            rows = [[a - b for a, b in zip(scaled[i], origin)] for i in ids]
-            vol = Fraction(abs(_int_det(rows)), cone_den)
-            simplices.append(_simplex_of_volume((base,) + tri, vol))
-    return SimplicialDecomposition(
-        base=base, simplices=tuple(simplices), facet_pieces=tuple(pieces)
+            rows = [scaled[i] for i in ids]
+            w = abs(_int_det([[a - b for a, b in zip(r, origin)] for r in rows]))
+            edges = [[a - b for a, b in zip(r, rows[0])] for r in rows[1:]]
+            m = abs(_int_det(edges + [list(facet.normal)]))
+            vol_s = Fraction(w, cone_den)
+            simplices.append(_simplex_of_volume((base,) + tri, vol_s))
+            pieces.append(FacetPiece(fid, tri, Fraction(m, facet_den * norm)))
+            vol += w
+            m *= common // norm
+            for i, col in enumerate(zip(*rows)):
+                c = sum(col)
+                mom[i] += w * (c + origin[i])
+                bmom[i] += m * c
+    return (
+        SimplicialDecomposition(
+            base=base, simplices=tuple(simplices), facet_pieces=tuple(pieces)
+        ),
+        Fraction(vol, cone_den),
+        tuple(Fraction(c, cone_den * den * (n + 1)) for c in mom),
+        tuple(Fraction(c, facet_den * common * den * n) for c in bmom),
     )
 
 
 @_memoized
-def _default_triangulation(P: LatticePolytope) -> SimplicialDecomposition:
+def _default_triangulation(P: LatticePolytope) -> tuple:
     return _star_triangulation(P, None)
 
 
@@ -502,70 +512,22 @@ def triangulate(
     a different (still deterministic) decomposition.  Facet triangulations
     fan from the lex-smallest vertex of each face, recursively, where each
     lower face is read as an intersection of facet incidence sets.  The
-    default decomposition is memoized on P; an explicit base is computed
+    default decomposition is memoized on P, together with the volume and
+    moment vectors taken in the same pass; an explicit base is computed
     afresh.
     """
     if base is None:
-        return _default_triangulation(P)
+        return _default_triangulation(P)[0]
     base = as_rational_point(base)
     if len(base) != P.dim:
         raise ValueError("base point has wrong dimension")
-    return _star_triangulation(P, base)
-
-
-@_memoized
-def _moments(P: LatticePolytope) -> tuple:
-    """(volume, moment vector, boundary moment vector) of P in one pass
-    over the default triangulation, summed in Python ints.
-
-    P's vertices and the triangulation base are scaled to integers by
-    their common denominator D, so with n! D^n vol(S) = w_S for a cone S
-    and (n-1)! D^(n-1) <v_F, v_F> sigma(T) = m_T for a facet piece T in F,
-    both integers,
-
-        vol    = sum w_S / (n! D^n)
-        mom_i  = sum w_S (S's scaled vertex sum)_i / (n! D^(n+1) (n + 1))
-        bmom_i = sum m_T (T's scaled vertex sum)_i / ((n-1)! D^n <v_F, v_F> n)
-
-    and one Fraction is built per output coordinate, over the lcm of the
-    <v_F, v_F>.  w_S is the cone's own determinant |det(v_i - base)| and
-    m_T the facet measure det(edges, v_F), both taken by the triangulation
-    and read back here as integers, so the boundary identity
-    sigma(dP) = n vol(P) stays a check of two independent determinants."""
-    n = P.dim
-    dec = triangulate(P)
-    pts = P.vertices + (dec.base,)
-    den, rows = _scaled_points(pts)
-    # the triangulation's vertices are P's own tuples, so id() finds them
-    scaled = dict(zip(map(id, pts), rows))
-    base = rows[-1]
-    cone_den = math.factorial(n) * den**n
-    facet_den = math.factorial(n - 1) * den ** (n - 1)
-    norms = [sum(v * v for v in f.normal) for f in P.facets]
-    common = math.lcm(*norms)
-    vol, mom, bmom = 0, [0] * n, [0] * n
-    # cone k is the base coned over facet piece k
-    for s, piece in zip(dec.simplices, dec.facet_pieces):
-        w = s.volume()
-        w = w.numerator * (cone_den // w.denominator)
-        m, norm = piece.measure, norms[piece.facet_id]
-        m = m.numerator * (facet_den * norm // m.denominator) * (common // norm)
-        vol += w
-        for i, col in enumerate(zip(*(scaled[id(v)] for v in piece.vertices))):
-            c = sum(col)
-            mom[i] += w * (c + base[i])
-            bmom[i] += m * c
-    return (
-        Fraction(vol, cone_den),
-        tuple(Fraction(c, cone_den * den * (n + 1)) for c in mom),
-        tuple(Fraction(c, facet_den * common * den * n) for c in bmom),
-    )
+    return _star_triangulation(P, base)[0]
 
 
 def volume(P: LatticePolytope) -> Fraction:
     """Euclidean volume of P, exact: the sum of the cone volumes of the
-    star triangulation, read from the one memoized moment pass."""
-    return _moments(P)[0]
+    star triangulation, read from the memoized triangulation pass."""
+    return _default_triangulation(P)[1]
 
 
 def normalized_volume(P: LatticePolytope) -> Fraction:
@@ -600,14 +562,15 @@ def interior_integral(P: LatticePolytope, form: AffineForm) -> Fraction:
 
 def moment_vector(P: LatticePolytope) -> tuple:
     """(int_P x_i dx)_i as exact Fractions: each cone's volume times its
-    centroid, summed in the one memoized moment pass."""
-    return _moments(P)[1]
+    centroid, summed in the memoized triangulation pass."""
+    return _default_triangulation(P)[2]
 
 
 def boundary_moment_vector(P: LatticePolytope) -> tuple:
     """(int_{dP} x_i dsigma)_i as exact Fractions: each facet piece's
-    measure times its centroid, summed in the one memoized moment pass."""
-    return _moments(P)[2]
+    measure times its centroid, summed in the memoized triangulation
+    pass."""
+    return _default_triangulation(P)[3]
 
 
 def barycenter(P: LatticePolytope) -> tuple:

@@ -691,7 +691,9 @@ def dh_measure(T: WeightTable, xi, m) -> DHSample:
         weights = np.zeros(uniq.shape[0], dtype=np.int64)
         np.add.at(weights, inverse, T.dims(m))
     masses = weights / T.count(m)
-    bound = T.weight_bound * float(np.linalg.norm(xf))
+    with np.errstate(over="ignore"):
+        # a direction too large for the norm gets an inf bound, silently
+        bound = T.weight_bound * float(np.linalg.norm(xf))
     return DHSample(
         level=m,
         lambdas=uniq,

@@ -447,6 +447,14 @@ def assert_numerical_failure(res, stage, check):
     return [float(c) for c in direction.split(",")], float(gap)
 
 
+def test_dh_direction_past_norm_range_prints_one_line():
+    """|xi| overflows a double at xi = 1e300 on the interval; stderr holds
+    the one error line and no numpy overflow warning."""
+    res = run_child(["dh", path_of("interval"), "--xi", "1e300", "--m", "2"])
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: --xi 1e300: exp_moment is inf, not finite\n"
+
+
 def test_invariants_negative_jensen_gap_exit_1():
     """The engine's negative gap at a small cube direction (the numbers
     stay wrong until the engine is fixed) ends in one line, not a

@@ -189,7 +189,7 @@ def point_sub(p, q):
 
 
 def fraction_facet_measure(piece, normal):
-    """Oracle for lattice_geom._facet_measure in Fraction arithmetic:
+    """Oracle for a facet piece's measure in Fraction arithmetic:
     |det(edges, v)| / ((n-1)! <v, v>) with Fraction edges."""
     rows = [point_sub(p, piece[0]) for p in piece[1:]]
     rows.append(tuple(Fraction(v) for v in normal))
@@ -948,6 +948,65 @@ def test_moments_match_oracle_on_products(polytopes, a, b, shift):
     assert_moments_match_oracle(P)
 
 
+def interior_bases(P):
+    """Three rational interior points of P: steps along (1/6, 1/9, ...)
+    and (-1/5, -1/10, ...) from the default base, shrunk by half the
+    smallest facet slack there, and the vertex centroid."""
+    n = P.dim
+    default = lg.triangulate(P).base
+    steps = [
+        tuple(Fraction(1, 3 * (i + 2)) for i in range(n)),
+        tuple(Fraction(-1, 5 * (i + 1)) for i in range(n)),
+    ]
+    scale = min(f.offset - _dot(f.normal, default) for f in P.facets)
+    bases = [
+        tuple(b + scale * s / 2 for b, s in zip(default, step)) for step in steps
+    ]
+    bases.append(tuple(sum(col) / P.n_vertices for col in zip(*P.vertices)))
+    return bases
+
+
+def assert_moments_independent_of_base(P):
+    """The volume and both moment vectors from the triangulation pass over
+    each interior base equal the memoized ones of the default base."""
+    want = (lg.volume(P), lg.moment_vector(P), lg.boundary_moment_vector(P))
+    for base in interior_bases(P):
+        dec, *got = lg._star_triangulation(P, base)
+        assert dec.base == base
+        assert tuple(got) == want, (P.vertices, base)
+
+
+def test_moments_independent_of_base_on_corpus(polytopes):
+    for P in polytopes.values():
+        assert_moments_independent_of_base(P)
+
+
+@pytest.mark.parametrize(
+    "a,b,shift",
+    [
+        pytest.param("blowup_one", "blowup_two", None, id="blowup_one-blowup_two"),
+        pytest.param("interval", "cube", None, id="interval-cube"),
+        pytest.param(
+            "square", "triangle", ("1/2", "-1/3", "2/5", "1/7"),
+            id="square-triangle-translate",
+        ),
+    ],
+)
+def test_moments_independent_of_base_on_products(polytopes, a, b, shift):
+    P = lg.build_polytope(product_points(polytopes[a], polytopes[b]))
+    if shift is not None:
+        P = lg.translate(P, shift)
+    assert_moments_independent_of_base(P)
+
+
+def test_moments_independent_of_base_rational_vertex():
+    P = lg.build_polytope(
+        [(0, 0), ("3/2", 0), (0, "5/3"), ("7/4", "9/5"), ("-1/3", "1/2")]
+    )
+    assert not P.is_lattice()
+    assert_moments_independent_of_base(P)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_moments_match_oracle_on_random_polytopes(d):
     """Rational, non-reflexive polytopes: facet offsets other than 1, and
@@ -1008,6 +1067,13 @@ def test_barycenters(polytopes):
     }
     for name, P in polytopes.items():
         assert lg.barycenter(P) == expected[name], name
+
+
+def test_barycenter_zero_names_the_centred_corpus(polytopes):
+    """corpus.BARYCENTER_ZERO lists, once each, exactly the corpus
+    polytopes whose exact barycenter is the origin."""
+    centred = [name for name, P in polytopes.items() if not any(lg.barycenter(P))]
+    assert sorted(corpus.BARYCENTER_ZERO) == sorted(centred)
 
 
 def test_translate_interval():
