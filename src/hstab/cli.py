@@ -26,6 +26,7 @@ that build arrays.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -211,20 +212,7 @@ def cmd_invariants(path: str, xi_text: str, oracle_m, output) -> None:
         _fail(EXIT_PARSE, f"--xi {xi_text}: {exc}")
     except NumericalCheckFailed as exc:
         _numerical_failure("invariants", exc, P, xi)
-    body = {
-        "polytope_name": report.polytope_name,
-        "dim": report.dim,
-        "xi": list(report.xi),
-        "volume": report.volume,
-        "normalized_volume": report.normalized_volume,
-        "c0": report.c0,
-        "b0": report.b0,
-        "b1": report.b1,
-        "h": report.h,
-        "df": report.df,
-        "df_exact": report.df_exact,
-        "jensen_gap": report.jensen_gap,
-    }
+    body = dataclasses.asdict(report)
     if oracle_m is not None:
         from . import weight_rings as wr
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import lattice_geom as lg
 from .errors import NotReflexive, NumericalCheckFailed
 from .lattice_geom import as_exact_vector, as_float_vector, b0_b1_exact
-from .simplex_calculus import exp_moments
+from .simplex_calculus import _safe_exp, exp_moments
 
 
 def require_reflexive(P) -> None:
@@ -165,7 +165,7 @@ def build_report(P, xi) -> InvariantReport:
         log_ratio, b0_f, b1_f = _log_ratio_b0_b1(P, xf)
         log_c0 = math.log(math.factorial(n) * float(vol)) + log_ratio
         # c0 itself can overflow a double long before its logarithm does
-        c0 = math.exp(log_c0) if log_c0 < 709.0 else math.inf
+        c0 = _safe_exp(log_c0)
         h = _h(P, log_ratio, b1_f)
         gap = _gap(P, xf, log_ratio, b0_f, b1_f)
     else:

@@ -37,9 +37,10 @@ _MAX_HALVINGS = 60
 
 
 def _grad_hess(P, xf: Sequence[float], order: int):
-    """Gradient of H and, at order 2, its exactly symmetrized Hessian (else
-    None) from one moment pass; the Gibbs mean and covariance are the
-    normalized first and centred second moments."""
+    """Gradient of H and, at order 2, its Hessian (else None) from one
+    moment pass; the Gibbs mean and covariance are the normalized first and
+    centred second moments.  The Hessian is exactly symmetric, as
+    ``exp_moments`` fills i2 symmetrically."""
     _, i0, i1, i2 = exp_moments(lg.triangulate(P).simplices, xf, order)
     v = float(lg.normalized_volume(P))
     mean = np.array(i1) / i0
@@ -48,8 +49,7 @@ def _grad_hess(P, xf: Sequence[float], order: int):
     if order < 2:
         return grad, None
     cov = np.array(i2) / i0 - np.outer(mean, mean)
-    hess = -v * cov
-    return grad, (hess + hess.T) / 2.0
+    return grad, -v * cov
 
 
 def h_gradient(P, xi) -> np.ndarray:
@@ -59,10 +59,15 @@ def h_gradient(P, xi) -> np.ndarray:
 
 
 def h_hessian(P, xi) -> np.ndarray:
-    """Hessian of H: the negated Gibbs covariance scaled by V, symmetrized
-    exactly; negative definite for full-dimensional P."""
+    """Hessian of H: the negated Gibbs covariance scaled by V, exactly
+    symmetric; negative definite for full-dimensional P."""
     require_reflexive(P)
     return _grad_hess(P, lg.as_float_vector(xi, P.dim), order=2)[1]
+
+
+def _q(P) -> list:
+    """q = (n+1)/n * barycenter, exact: V q = (n-1)! B on reflexive P."""
+    return [Fraction(P.dim + 1, P.dim) * b for b in lg.barycenter(P)]
 
 
 def recession_slope(P, eta) -> float:
@@ -73,7 +78,7 @@ def recession_slope(P, eta) -> float:
     norm = float(np.linalg.norm(ef))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, |eta| = {norm}")
-    q = [Fraction(P.dim + 1, P.dim) * b for b in lg.barycenter(P)]
+    q = _q(P)
     least = min(
         math.fsum(float(c - t) * e for c, t, e in zip(v, q, ef.tolist()))
         for v in P.vertices
@@ -84,7 +89,7 @@ def recession_slope(P, eta) -> float:
 def _unbounded_witness(P) -> Optional[np.ndarray]:
     """-u_F/|u_F| for the first facet F with <u_F, q> >= 1, where the
     slope is V (<u_F, q> - 1)/|u_F| >= 0; None when H has a maximizer."""
-    q = [Fraction(P.dim + 1, P.dim) * b for b in lg.barycenter(P)]
+    q = _q(P)
     for f in P.facets:
         if sum(u * t for u, t in zip(f.normal, q)) >= f.offset:
             u = np.array(f.normal, dtype=float)
@@ -149,10 +154,8 @@ def maximize_h(
         )
 
     status = "max_iterations"
-    last = None  # (grad, hess) of the loop's evaluation at the current xi
+    grad, hess = _grad_hess(P, xi, order=2)  # always at the current xi
     for it in range(max_iter):
-        grad, hess = _grad_hess(P, xi, order=2)
-        last = grad, hess
         gnorm = float(np.linalg.norm(grad))
         if trace is not None:
             trace.append(
@@ -185,23 +188,19 @@ def maximize_h(
             break  # the line search failed: status stays max_iterations
 
         xi = cand
-        last = None
         h_val = h_cand
         iterations = it + 1
         # Jensen ordering must hold at every iterate
         if not float(df_raw(P, xi)) >= h_val - 1e-9:
             raise NumericalCheckFailed("DF fell below H along the ascent", xi)
+        grad, hess = _grad_hess(P, xi, order=2)
 
-    # a converged run or a failed line search ends where it last evaluated
-    if last is None:
-        last = _grad_hess(P, xi, order=2)
-    final_grad, final_hess = last
-    final_top = float(np.linalg.eigvalsh(final_hess)[-1])
+    final_top = float(np.linalg.eigvalsh(hess)[-1])
     return OptimizationResult(
         status=status,
         xi_star=xi,
         h_star=h_val,
-        grad_norm=float(np.linalg.norm(final_grad)),
+        grad_norm=float(np.linalg.norm(grad)),
         hessian_max_eigenvalue=final_top,
         iterations=iterations,
         flat_direction=bool(_EIGENVALUE_FLOOR < final_top <= 0.0),
@@ -210,18 +209,26 @@ def maximize_h(
     )
 
 
-def mu_supremum(P, result: Optional[OptimizationResult] = None) -> float:
-    """sup of the mu-functional over product degenerations:
-    n V - sup H.  Requires a converged maximization."""
+def _converged(
+    P, result: Optional[OptimizationResult], missing: str
+) -> OptimizationResult:
+    """``result``, or a fresh ``maximize_h(P)`` when it is None; raises
+    Inconclusive, saying what is ``missing``, unless the run converged."""
     require_reflexive(P)
     if result is None:
         result = maximize_h(P)
     if not result.converged:
         raise Inconclusive(
-            f"optimizer terminated with status {result.status}; "
-            "mu supremum undefined",
+            f"optimizer terminated with status {result.status}; {missing}",
             status=result.status,
         )
+    return result
+
+
+def mu_supremum(P, result: Optional[OptimizationResult] = None) -> float:
+    """sup of the mu-functional over product degenerations:
+    n V - sup H.  Requires a converged maximization."""
+    result = _converged(P, result, "mu supremum undefined")
     return P.dim * float(lg.normalized_volume(P)) - result.h_star
 
 
@@ -250,15 +257,7 @@ def h_stability_verdict(
     """Stable when the maximizer is the trivial degeneration (xi* = 0 with
     negative-definite Hessian, hence H < 0 away from 0 by strict
     concavity); otherwise unstable with the maximizer as witness."""
-    require_reflexive(P)
-    if result is None:
-        result = maximize_h(P)
-    if not result.converged:
-        raise Inconclusive(
-            f"optimizer terminated with status {result.status}; "
-            "no stability verdict",
-            status=result.status,
-        )
+    result = _converged(P, result, "no stability verdict")
     at_origin = float(np.linalg.norm(result.xi_star)) < 1e-8
     stable = at_origin and result.hessian_max_eigenvalue < 0
     return StabilityVerdict(

@@ -291,7 +291,8 @@ def exp_moments(simplices, xi, order: int = 2):
     tuple, node set or tight block, evaluated once per call, so shared
     vertices, repeated node sets and clusters they share cost nothing extra.
     A direction whose nodes leave the double range, or whose shifted mass
-    i0 underflows to 0, raises ValueError.
+    i0 is not positive (it underflows to 0, or the divided differences
+    lost accuracy), raises ValueError.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
@@ -373,8 +374,12 @@ def exp_moments(simplices, xi, order: int = 2):
 
     i0 = math.fsum(c0_parts)
     if not i0 > 0.0:
+        state = (
+            "underflows to 0" if i0 == 0.0
+            else f"is {i0!r}, not positive: the divided differences lost accuracy"
+        )
         raise ValueError(
-            f"direction {xf}: the shifted mass i0 underflows to 0 in "
+            f"direction {xf}: the shifted mass i0 {state} in "
             "exp_moments, so log c0 and the Gibbs moments are undefined"
         )
     i1 = [math.fsum(p) for p in c1_parts] if order >= 1 else None

@@ -20,7 +20,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +53,10 @@ def _is_float_like(xi) -> bool:
     return any(isinstance(c, (float, np.floating)) for c in lg._direction_entries(xi))
 
 
+def _max_vertex_norm_sq(P) -> Fraction:
+    return max(sum((c * c for c in v), Fraction(0)) for v in P.vertices)
+
+
 class WeightTable:
     """Weight table: per-degree integer weight rows with multiplicities,
     lex-sorted within each degree.
@@ -68,27 +72,31 @@ class WeightTable:
     one block of at most 2^16 points at a time (``_atom_blocks``), so they
     never hold a whole degree.
 
-    Invariants checked per degree: rows non-empty, multiplicities >= 1,
-    and every weight satisfies |alpha|_2 <= C*m where C^2 =
-    ``weight_bound_sq`` (exact rational); a toric degree takes its largest
-    |alpha|^2 from ``lattice_stats``, and every enumeration of its weights
-    must match its count, which checks the polynomial against an independent
+    The weight bound C, with |alpha|_2 <= C*m for every weight, is derived
+    from the table's own data: C^2 = ``weight_bound_sq`` (exact rational)
+    is the largest squared vertex norm of a toric table's polytope, and the
+    largest |alpha|^2/m^2 over an external table's rows.
+
+    Invariants checked per degree: rows non-empty and multiplicities >= 1;
+    a toric degree also checks the largest |alpha|^2 that ``lattice_stats``
+    gives it against C^2 m^2, and every enumeration of its weights must
+    match its count, which checks the polynomial against an independent
     enumeration.
     """
 
-    def __init__(self, dim, m_max, blocks, source, weight_bound_sq,
-                 polytope=None):
+    def __init__(self, dim, m_max, blocks, source, polytope=None):
         self.dim = int(dim)
         self.m_max = int(m_max)
         self.source = source
-        self.weight_bound_sq = Fraction(weight_bound_sq)
         self._polytope = polytope
         if self.dim < 1 or self.m_max < 1:
             raise ValueError("dim and m_max must be positive")
         self._blocks = {}  # m -> (alphas, dims); external tables only
         self._stats = {}  # m -> (N_m, moment vector)
         if polytope is not None:
+            self.weight_bound_sq = _max_vertex_norm_sq(polytope)
             return
+        self.weight_bound_sq = Fraction(0)
         missing = [m for m in range(1, self.m_max + 1) if m not in blocks]
         if missing:
             raise EmptyDegree(f"table has no entries at degree m = {missing[0]}")
@@ -103,10 +111,6 @@ class WeightTable:
                 )
             prev = n_m
 
-    def _check_bound(self, m, norm_sq) -> None:
-        if Fraction(norm_sq) > self.weight_bound_sq * m * m:
-            raise ValueError(f"degree {m}: weight exceeds the bound |alpha| <= C*m")
-
     def _checked_block(self, m, alphas, dims):
         alphas = np.ascontiguousarray(alphas, dtype=np.int64)
         dims = np.ascontiguousarray(dims, dtype=np.int64)
@@ -118,7 +122,8 @@ class WeightTable:
             raise ValueError(f"degree {m}: multiplicity column mismatch")
         if np.any(dims < 1):
             raise ValueError(f"degree {m}: multiplicities must be >= 1")
-        self._check_bound(m, int(np.max(np.sum(alphas * alphas, axis=1))))
+        worst = int(np.max(np.sum(alphas * alphas, axis=1)))
+        self.weight_bound_sq = max(self.weight_bound_sq, Fraction(worst, m * m))
         return alphas, dims
 
     def _degree_stats(self, m: int):
@@ -131,7 +136,10 @@ class WeightTable:
                 st = lg.lattice_stats(self._polytope, m)
                 if st.count == 0:
                     raise EmptyDegree(f"table has no entries at degree m = {m}")
-                self._check_bound(m, st.max_norm_sq)
+                if st.max_norm_sq > self.weight_bound_sq * m * m:
+                    raise ValueError(
+                        f"degree {m}: weight exceeds the bound |alpha| <= C*m"
+                    )
                 self._stats[m] = (st.count, st.moment)
         return self._stats[m]
 
@@ -220,22 +228,13 @@ def _block_stats(alphas, dims):
     return int(np.sum(dims)), moment
 
 
-def _toric_table_unchecked(P, m_max: int, source: Optional[str] = None) -> WeightTable:
+def _toric_table_unchecked(P, m_max: int) -> WeightTable:
     """Toric table without the reflexivity gate (used for translated
     polytopes in conjugation checks and for external table generation)."""
-    if not isinstance(m_max, int) or m_max < 1:
+    if not lg._is_integer(m_max) or m_max < 1:
         raise ValueError("m_max must be a positive integer")
-    bound_sq = max(
-        sum((c * c for c in v), Fraction(0)) for v in P.vertices
-    )
-    return WeightTable(
-        dim=P.dim,
-        m_max=m_max,
-        blocks={},
-        source=source or f"toric:{P.name or '<unnamed>'}",
-        weight_bound_sq=bound_sq,
-        polytope=P,
-    )
+    source = f"toric:{P.name or '<unnamed>'}"
+    return WeightTable(dim=P.dim, m_max=m_max, blocks={}, source=source, polytope=P)
 
 
 def weight_table_toric(P, m_max: int) -> WeightTable:
@@ -380,17 +379,9 @@ def load_weight_table(path) -> WeightTable:
         blocks = _fast_blocks(path, dim)
         if blocks is None:
             blocks = _parsed_blocks(reader, dim)
-    bound_sq = Fraction(0)
-    for m, (alphas, _) in blocks.items():
-        worst = int(np.max(np.sum(alphas * alphas, axis=1)))
-        bound_sq = max(bound_sq, Fraction(worst, m * m))
     try:
         return WeightTable(
-            dim=dim,
-            m_max=len(blocks),
-            blocks=blocks,
-            source=f"external:{path}",
-            weight_bound_sq=bound_sq,
+            dim=dim, m_max=len(blocks), blocks=blocks, source=f"external:{path}"
         )
     except ValueError as exc:  # semantic table violations, e.g. N_m drops
         raise ParseError(str(exc)) from exc
@@ -587,9 +578,7 @@ def c0_exact(P, xi) -> float:
 def max_vertex_norm(P) -> float:
     """R_P = max Euclidean vertex norm (float, rounded up one ulp so the
     exact value never exceeds it)."""
-    worst = max(
-        float(sum((c * c for c in v), Fraction(0))) for v in P.vertices
-    )
+    worst = float(_max_vertex_norm_sq(P))
     return math.nextafter(math.sqrt(worst), math.inf)
 
 

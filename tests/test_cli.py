@@ -193,6 +193,40 @@ def test_non_finite_weight_statistic_exit_2(runner, args, where, quantity):
     assert line.endswith(f": {quantity} is inf, not finite")
 
 
+def test_c0_overflows_where_exp_does(runner):
+    """c0 is reported up to the largest double: on the square log c0 is
+    709.31 at xi = (714.5, 0), and only at (715.3, 0), log c0 = 710.11,
+    past log(DBL_MAX) = 709.78, is it inf."""
+    doc = run_json(runner, ["invariants", path_of("square"), "--xi", "714.5,0"])
+    c0 = float(doc["report"]["c0"])
+    assert c0 == pytest.approx(1.1258e308, rel=1e-4)
+    assert math.log(c0) == pytest.approx(709.31, abs=5e-3)
+    res = runner.invoke(main, ["invariants", path_of("square"), "--xi", "715.3,0"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == "error: --xi 715.3,0: c0 is inf, not finite\n"
+
+
+def test_invariants_negative_shifted_mass_exit_2(tmp_path):
+    """blowup_two x cube at a direction of norm 1e-3, where the summed
+    shifted mass i0 comes out negative: one line that names its value and
+    the accuracy loss, exit 2 as for an underflow."""
+    factors = [corpus.load_corpus(n) for n in ("blowup_two", "cube")]
+    pts = [u + w for u in factors[0].vertices for w in factors[1].vertices]
+    path = tmp_path / "blowup_two_x_cube.json"
+    path.write_text(json.dumps(
+        {"name": "blowup_two_x_cube", "dim": 5,
+         "vertices": [[int(c) for c in p] for p in pts]}
+    ))
+    xi = "-0.000733,0.000107,-4.4e-05,0.000668,-5.9e-05"
+    res = run_child(["invariants", str(path), "--xi", xi])
+    assert res.returncode == 2 and res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith(f"error: --xi {xi}: direction (")
+    assert re.search(r"the shifted mass i0 is -\d\S*, not positive: the "
+                     r"divided differences lost accuracy in exp_moments", line)
+    assert "underflow" not in line
+
+
 def test_oracle_just_inside_the_double_range_reports(runner):
     doc = run_json(
         runner, ["invariants", path_of("square"), "--xi", "700,0", "--oracle", "8"]

@@ -107,7 +107,13 @@ def test_interval_hessian_at_origin():
     assert H[0, 0] == pytest.approx(-2 / 3, rel=1e-12)
 
 
-def test_hessian_symmetric_and_matches_fd(polytopes):
+def test_hessian_symmetric_and_matches_fd(polytopes, slope_polytopes):
+    """The Hessian is exactly symmetric without being symmetrized, on the
+    corpus and the 4-D products at |xi| from 1e-6 to 10.  The finite
+    differences are checked at moderate directions only: the divided
+    differences lose accuracy at small ones (ROADMAP item 12), which also
+    leaves a rare small direction with no Hessian at all (a negative i0);
+    such a direction is collected, not checked."""
     rng = np.random.default_rng(83)
     for name, P in polytopes.items():
         for _ in range(6):
@@ -117,6 +123,20 @@ def test_hessian_symmetric_and_matches_fd(polytopes):
             ref = fd_hessian(P, xi)
             err = np.max(np.abs(H - ref)) / max(1.0, np.max(np.abs(ref)))
             assert err < 1e-5, (name, xi, err)
+    rng = np.random.default_rng(97)
+    lost = []
+    for name, P in slope_polytopes.items():
+        for scale in (1e-6, 1e-4, 1e-2, 1.0, 10.0):
+            for _ in range(3):
+                u = rng.normal(size=P.dim)
+                try:
+                    H = od.h_hessian(P, tuple(scale * u / np.linalg.norm(u)))
+                except ValueError as exc:
+                    assert "divided differences lost accuracy" in str(exc)
+                    lost.append((name, scale))
+                    continue
+                assert np.array_equal(H, H.T), (name, scale)
+    assert len(lost) <= 3, lost
 
 
 def test_hessian_negative_definite_sweep(polytopes):

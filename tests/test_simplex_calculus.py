@@ -10,6 +10,7 @@ import gc
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -782,3 +783,24 @@ def test_exp_moments_names_a_direction_it_cannot_take():
         exp_moments(sq, [math.nan, 0.0], order=0)
     with pytest.raises(ValueError, match=r"direction \(1e\+300, -1e\+300\).*i0 underflows"):
         exp_moments(sq, [1e300, -1e300], order=2)
+
+
+# a 5-D direction where the divided differences of blowup_two x cube lose so
+# much accuracy that the summed shifted mass comes out negative
+NEGATIVE_I0_XI = (-0.000733, 0.000107, -4.4e-05, 0.000668, -5.9e-05)
+
+
+def test_exp_moments_names_a_shifted_mass_that_is_not_positive(polytopes):
+    """A negative i0 is named with its value and blamed on the divided
+    differences, not called an underflow; it is still a ValueError."""
+    pts = [u + w for u in polytopes["blowup_two"].vertices
+           for w in polytopes["cube"].vertices]
+    simplices = lg.triangulate(lg.build_polytope(pts)).simplices
+    assert len(simplices) == 336
+    with pytest.raises(ValueError) as info:
+        exp_moments(simplices, NEGATIVE_I0_XI, order=0)
+    text = str(info.value)
+    assert "underflow" not in text
+    value = float(re.search(r"the shifted mass i0 is (\S+), not positive", text)[1])
+    assert value < 0
+    assert "the divided differences lost accuracy" in text

@@ -133,12 +133,23 @@ def test_toric_table_requires_reflexive():
 
 
 def test_weight_bound_invariant(polytopes):
+    """A toric table's C^2 is its largest squared vertex norm, which every
+    degree's weights attain at m times that vertex."""
     for P in polytopes.values():
         T = wr.weight_table_toric(P, 6)
+        assert T.weight_bound_sq == max(sum(Fraction(c) ** 2 for c in v) for v in P.vertices)
         for m in (1, 3, 6):
             alphas = T.alphas(m)
             worst = int(np.max(np.sum(alphas * alphas, axis=1)))
-            assert Fraction(worst) <= T.weight_bound_sq * m * m
+            assert Fraction(worst) == T.weight_bound_sq * m * m
+
+
+def test_external_weight_bound_is_the_largest_row_ratio(tmp_path):
+    """An external table's C^2 is the largest |alpha|^2/m^2 over its rows,
+    whichever degree holds it."""
+    path = tmp_path / "t.csv"
+    path.write_text("m,a1,a2,dim\n1,1,0,1\n2,0,0,2\n2,3,1,1\n3,2,-2,3\n")
+    assert wr.load_weight_table(path).weight_bound_sq == Fraction(10, 4)
 
 
 def test_degree_gating():
@@ -152,9 +163,15 @@ def test_degree_gating():
 
 
 def test_degree_accepts_numpy_integers_and_refuses_bools():
-    """The table's degree test is lattice_geom's: a numpy integer is a
-    degree, a bool is not."""
-    T = wr.weight_table_toric(corpus.load_corpus("hexagon"), 4)
+    """The table's degree test is lattice_geom's, for m and for m_max
+    alike: a numpy integer is a degree, a bool is not."""
+    P = corpus.load_corpus("hexagon")
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="m_max must be a positive integer"):
+            wr.weight_table_toric(P, bad)
+    T = wr.weight_table_toric(P, np.int64(8))
+    assert T.m_max == 8 and T.count(8) == len(lg.lattice_points(P, 8))
+    T = wr.weight_table_toric(P, 4)
     assert T.count(np.int64(2)) == T.count(2)
     assert T.alphas(np.int32(3)).tobytes() == T.alphas(3).tobytes()
     for bad in (True, np.bool_(True)):
