@@ -17,7 +17,9 @@ does).  Diagnostics go to stderr only.  Exit codes: 0 ok, 1 an internal
 numerical check failed (one ``error:`` line names the stage, the direction
 and DF - H there), 2 parse or invalid parameters, 3 not reflexive, 4
 unbounded direction (q = (n+1)/n * barycenter is not interior to P;
-``direction`` is a facet witness), 5 non-convergence.
+``direction`` is a facet witness), 5 non-convergence.  Codes 1-3 for library
+errors are chosen by ``_contract`` alone, 4 and 5 by the optimizer status
+alone; any other exception propagates, so a traceback means a bug.
 
 ``check`` and ``invariants`` run without numpy: ``weight_rings``,
 ``optimal_degeneration`` and numpy are imported inside the subcommands
@@ -26,6 +28,7 @@ that build arrays.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -41,13 +44,9 @@ from . import __version__
 from . import invariants as inv
 from . import lattice_geom as lg
 from .errors import (
-    DegeneratePolytope,
-    EmptyDegree,
-    InsufficientDegrees,
-    NonRationalInput,
+    HstabError,
     NotReflexive,
     NumericalCheckFailed,
-    ParseError,
     TruncationTooCoarse,
 )
 
@@ -55,6 +54,11 @@ EXIT_PARSE = 2
 EXIT_NOT_REFLEXIVE = 3
 EXIT_UNBOUNDED = 4
 EXIT_NO_CONVERGENCE = 5
+# optimizer status -> exit code; a status not listed exits 0
+_STATUS_EXIT = {
+    "unbounded_direction": EXIT_UNBOUNDED,
+    "max_iterations": EXIT_NO_CONVERGENCE,
+}
 
 # weight_rings.LAURENT_T_SAMPLES, spelled out so that importing this module
 # does not load weight_rings; a test keeps the two equal
@@ -114,6 +118,30 @@ def _numerical_failure(stage: str, exc: NumericalCheckFailed, P, xi) -> None:
     )
 
 
+@contextlib.contextmanager
+def _contract(where, stage=None, P=None, xi=None):
+    """Run library calls under the exit-code contract.  NotReflexive exits
+    3; NumericalCheckFailed exits 1 through ``_numerical_failure`` at xi,
+    or at the direction the error carries when xi is None;
+    TruncationTooCoarse exits 2 with its rerun hint; any other HstabError,
+    ValueError or OverflowError exits 2 on one line prefixed by ``where``,
+    the option whose value was refused, when given.  Anything else
+    propagates."""
+    try:
+        yield
+    except NotReflexive as exc:
+        _fail(EXIT_NOT_REFLEXIVE, exc)
+    except NumericalCheckFailed as exc:
+        _numerical_failure(stage, exc, P, exc.xi if xi is None else xi)
+    except TruncationTooCoarse as exc:
+        _fail(
+            EXIT_PARSE,
+            f"{exc} (rerun with --m-max {exc.required_m_max} or deeper)",
+        )
+    except (HstabError, ValueError, OverflowError) as exc:
+        _fail(EXIT_PARSE, f"{where}: {exc}" if where else exc)
+
+
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -145,11 +173,8 @@ def _emit(
 
 
 def _parse_xi(text: str, dim: int) -> tuple:
-    try:
-        parts = [p for p in text.split(",")]
-        vec = tuple(lg.as_rational(p) for p in parts)
-    except NonRationalInput as exc:
-        _fail(EXIT_PARSE, f"cannot parse --xi {text!r}: {exc}")
+    with _contract(f"cannot parse --xi {text!r}"):
+        vec = tuple(lg.as_rational(p) for p in text.split(","))
     if len(vec) != dim:
         _fail(
             EXIT_PARSE,
@@ -159,10 +184,8 @@ def _parse_xi(text: str, dim: int) -> tuple:
 
 
 def _load_polytope(path: str) -> lg.LatticePolytope:
-    try:
+    with _contract(None):
         return lg.load_polytope(path)
-    except (ParseError, DegeneratePolytope, NonRationalInput) as exc:
-        _fail(EXIT_PARSE, exc)
 
 
 @click.group()
@@ -176,16 +199,17 @@ def main() -> None:
 def cmd_check(path: str) -> None:
     """Validate a polytope file and print its basic geometry."""
     P = _load_polytope(path)
-    bary = lg.barycenter(P)
-    click.echo(f"name: {P.name}")
-    click.echo(f"dim: {P.dim}")
-    click.echo(f"vertices: {P.n_vertices}")
-    click.echo(f"facets: {P.n_facets}")
-    click.echo(f"lattice: {'true' if P.is_lattice() else 'false'}")
-    click.echo(f"reflexive: {'true' if lg.is_reflexive(P) else 'false'}")
-    click.echo(f"volume: {lg.volume(P)}")
-    click.echo(f"normalized volume: {lg.normalized_volume(P)}")
-    click.echo(f"barycenter: ({', '.join(str(b) for b in bary)})")
+    with _contract(None, "check", P):
+        bary = lg.barycenter(P)
+        click.echo(f"name: {P.name}")
+        click.echo(f"dim: {P.dim}")
+        click.echo(f"vertices: {P.n_vertices}")
+        click.echo(f"facets: {P.n_facets}")
+        click.echo(f"lattice: {'true' if P.is_lattice() else 'false'}")
+        click.echo(f"reflexive: {'true' if lg.is_reflexive(P) else 'false'}")
+        click.echo(f"volume: {lg.volume(P)}")
+        click.echo(f"normalized volume: {lg.normalized_volume(P)}")
+        click.echo(f"barycenter: ({', '.join(str(b) for b in bary)})")
 
 
 @main.command("invariants")
@@ -204,30 +228,21 @@ def cmd_invariants(path: str, xi_text: str, oracle_m, output) -> None:
     t0 = time.monotonic()
     P = _load_polytope(path)
     xi = _parse_xi(xi_text, P.dim)
-    try:
+    with _contract(f"--xi {xi_text}", "invariants", P, xi):
         report = inv.build_report(P, xi)
-    except NotReflexive as exc:
-        _fail(EXIT_NOT_REFLEXIVE, exc)
-    except ValueError as exc:  # a direction the float moment pass cannot take
-        _fail(EXIT_PARSE, f"--xi {xi_text}: {exc}")
-    except NumericalCheckFailed as exc:
-        _numerical_failure("invariants", exc, P, xi)
     body = dataclasses.asdict(report)
     if oracle_m is not None:
         from . import weight_rings as wr
 
-        try:
+        with _contract(f"--oracle {oracle_m}", "invariants", P, xi):
             table = wr.weight_table_toric(P, oracle_m)
             fit = wr.fit_b0_b1(table, xi)
-        except (ValueError, InsufficientDegrees, EmptyDegree) as exc:
-            _fail(EXIT_PARSE, f"--oracle {oracle_m}: {exc}")
-        c0_bf = wr.c0_bruteforce(table, xi, oracle_m)
-        _require_finite(
-            f"--oracle {oracle_m} at --xi {xi_text}", c0=report.c0, c0_bruteforce=c0_bf
-        )
-        v = float(lg.normalized_volume(P))
-        h_oracle = inv._h(P, math.log(c0_bf / v), fit.b1)
-        df_oracle = inv._df(P.dim, fit.b0, fit.b1)
+            c0_bf = wr.c0_bruteforce(table, xi, oracle_m)
+            where = f"--oracle {oracle_m} at --xi {xi_text}"
+            _require_finite(where, c0=report.c0, c0_bruteforce=c0_bf)
+            v = float(lg.normalized_volume(P))
+            h_oracle = inv._h(P, math.log(c0_bf / v), fit.b1)
+            df_oracle = inv._df(P.dim, fit.b0, fit.b1)
         body["oracle"] = {
             "m": oracle_m,
             "c0_bruteforce": c0_bf,
@@ -256,30 +271,17 @@ def cmd_optimize(path: str, tol: float, max_iter: int, trace: bool, output) -> N
 
     t0 = time.monotonic()
     P = _load_polytope(path)
-    try:
+    with _contract(None, "optimize", P):
         result = od.maximize_h(P, tol=tol, max_iter=max_iter, keep_trace=trace)
-    except NotReflexive as exc:
-        _fail(EXIT_NOT_REFLEXIVE, exc)
-    except ValueError as exc:
-        _fail(EXIT_PARSE, exc)
-    except NumericalCheckFailed as exc:
-        _numerical_failure("optimize", exc, P, exc.xi)
-    body = {
-        "polytope_name": P.name,
-        "dim": P.dim,
-        "status": result.status,
-        "xi_star": result.xi_star,
-        "h_star": result.h_star,
-        "grad_norm": result.grad_norm,
-        "hessian_max_eigenvalue": result.hessian_max_eigenvalue,
-        "iterations": result.iterations,
-        "flat_direction": result.flat_direction,
-    }
-    if result.direction is not None:
-        body["direction"] = result.direction
+        if result.converged:
+            verdict = od.h_stability_verdict(P, result)
+            mu = od.mu_supremum(P, result)
+    body = {"polytope_name": P.name, "dim": P.dim, **dataclasses.asdict(result)}
+    steps = body.pop("trace")
+    if result.direction is None:
+        del body["direction"]
     if result.converged:
-        verdict = od.h_stability_verdict(P, result)
-        body["mu_supremum"] = od.mu_supremum(P, result)
+        body["mu_supremum"] = mu
         body["verdict"] = {
             "stable": verdict.stable,
             "label": verdict.label,
@@ -289,14 +291,11 @@ def cmd_optimize(path: str, tol: float, max_iter: int, trace: bool, output) -> N
             "h_at_witness": verdict.h_at_witness,
             "hessian_max_eigenvalue": verdict.hessian_max_eigenvalue,
         }
-    if trace and result.trace is not None:
-        body["trace"] = result.trace
+    if trace and steps is not None:
+        body["trace"] = steps
     params = {"tol": tol, "max_iter": max_iter, "trace": trace}
     _emit("optimize", path, params, t0, body, output)
-    if result.status == "unbounded_direction":
-        sys.exit(EXIT_UNBOUNDED)
-    if result.status == "max_iterations":
-        sys.exit(EXIT_NO_CONVERGENCE)
+    sys.exit(_STATUS_EXIT.get(result.status, 0))
 
 
 @main.command("dh")
@@ -318,16 +317,12 @@ def cmd_dh(path: str, xi_text: str, m: int, bins, output) -> None:
         _fail(EXIT_PARSE, f"--m must be >= 1, got {m}")
     if bins is not None and bins < 1:
         _fail(EXIT_PARSE, f"--bins must be >= 1, got {bins}")
-    try:
+    with _contract(f"--xi {xi_text}", "dh", P, xi):
         table = wr.weight_table_toric(P, m)
-    except NotReflexive as exc:
-        _fail(EXIT_NOT_REFLEXIVE, exc)
-    try:
         c0_over_v = wr.c0_exact(P, xi) / float(lg.normalized_volume(P))
-    except ValueError as exc:  # a direction the float moment pass cannot take
-        _fail(EXIT_PARSE, f"--xi {xi_text}: {exc}")
-    sample = wr.dh_measure(table, xi, m)
-    moment = wr.dh_exp_moment(sample)
+    with _contract(f"--m {m}", "dh", P, xi):
+        sample = wr.dh_measure(table, xi, m)
+        moment = wr.dh_exp_moment(sample)
     _require_finite(f"--xi {xi_text}", exp_moment=moment, c0_over_v=c0_over_v)
     body = {
         "polytope_name": P.name,
@@ -356,19 +351,22 @@ def cmd_dh(path: str, xi_text: str, m: int, bins, output) -> None:
     _emit("dh", path, {"xi": xi_text, "m": m, "bins": bins}, t0, body, output)
 
 
-def _load_character_input(path: str):
-    """Polytope JSON or weight-table CSV, decided by content: JSON
-    documents parse as JSON, everything else is treated as CSV."""
+def _load_character_input(path: str, m_max: int):
+    """(P, its toric table of depth m_max) for polytope JSON, (None, the
+    table) for weight-table CSV, decided by content: JSON documents parse
+    as JSON, everything else is treated as CSV."""
     from . import weight_rings as wr
 
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.read(1)
-    if head == "{":
-        return _load_polytope(path), None
-    try:
-        return None, wr.load_weight_table(path)
-    except (ParseError, EmptyDegree) as exc:
-        _fail(EXIT_PARSE, exc)
+    if head != "{":
+        with _contract(None):
+            return None, wr.load_weight_table(path)
+    P = _load_polytope(path)
+    if m_max < 1:
+        _fail(EXIT_PARSE, f"--m-max must be >= 1, got {m_max}")
+    with _contract(None):
+        return P, wr.weight_table_toric(P, m_max)
 
 
 @main.command("character")
@@ -394,14 +392,7 @@ def cmd_character(path: str, xi_text: str, t_text: str, m_max: int, output) -> N
     from . import weight_rings as wr
 
     t0 = time.monotonic()
-    P, table = _load_character_input(path)
-    if table is None:
-        if m_max < 1:
-            _fail(EXIT_PARSE, f"--m-max must be >= 1, got {m_max}")
-        try:
-            table = wr.weight_table_toric(P, m_max)
-        except NotReflexive as exc:
-            _fail(EXIT_NOT_REFLEXIVE, exc)
+    P, table = _load_character_input(path, m_max)
     xi = _parse_xi(xi_text, table.dim)
     try:
         ts = [float(t) for t in t_text.split(",")]
@@ -409,17 +400,13 @@ def cmd_character(path: str, xi_text: str, t_text: str, m_max: int, output) -> N
         _fail(EXIT_PARSE, f"cannot parse --t {t_text!r}")
     if any(not (t > 0) or not math.isfinite(t) for t in ts):
         _fail(EXIT_PARSE, "all --t values must be positive and finite")
-    samples = [
-        {"t": t, "character": wr.weight_character(table, xi, t, table.m_max)}
-        for t in ts
-    ]
-    try:
+    with _contract(f"--xi {xi_text}", "character", P, xi):
+        samples = [
+            {"t": t, "character": wr.weight_character(table, xi, t, table.m_max)}
+            for t in ts
+        ]
         fit = wr.laurent_fit(table, xi)
-    except TruncationTooCoarse as exc:
-        _fail(
-            EXIT_PARSE,
-            f"{exc} (rerun with --m-max {exc.required_m_max} or deeper)",
-        )
+        exact = None if P is None else lg.b0_b1_exact(P, xi)
     body = {
         "source": table.source,
         "dim": table.dim,
@@ -428,8 +415,8 @@ def cmd_character(path: str, xi_text: str, t_text: str, m_max: int, output) -> N
         "samples": samples,
         "laurent": {"b0": fit.b0, "b1": fit.b1},
     }
-    if P is not None:
-        b0, b1 = lg.b0_b1_exact(P, xi)
+    if exact is not None:
+        b0, b1 = exact
         body["exact"] = {
             "b0": b0,
             "b1": b1,

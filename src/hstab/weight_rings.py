@@ -78,10 +78,10 @@ class WeightTable:
     largest |alpha|^2/m^2 over an external table's rows.
 
     Invariants checked per degree: rows non-empty and multiplicities >= 1;
-    a toric degree also checks the largest |alpha|^2 that ``lattice_stats``
-    gives it against C^2 m^2, and every enumeration of its weights must
-    match its count, which checks the polynomial against an independent
-    enumeration.
+    every enumeration of a toric degree's weights must match its count,
+    which checks the polynomial against an independent enumeration.  A
+    toric degree needs no bound check: its largest |alpha|^2 is
+    m^2 max_v |v|^2 = C^2 m^2 by convexity.
     """
 
     def __init__(self, dim, m_max, blocks, source, polytope=None):
@@ -136,10 +136,6 @@ class WeightTable:
                 st = lg.lattice_stats(self._polytope, m)
                 if st.count == 0:
                     raise EmptyDegree(f"table has no entries at degree m = {m}")
-                if st.max_norm_sq > self.weight_bound_sq * m * m:
-                    raise ValueError(
-                        f"degree {m}: weight exceeds the bound |alpha| <= C*m"
-                    )
                 self._stats[m] = (st.count, st.moment)
         return self._stats[m]
 
@@ -173,7 +169,7 @@ class WeightTable:
                 (alphas[i : i + step], dims[i : i + step])
                 for i in range(0, alphas.shape[0], step)
             )
-        self._degree_stats(m)  # the degree's emptiness and bound checks
+        self._degree_stats(m)  # the degree's emptiness check
         blocks = lg._lattice_point_blocks(self._polytope, m)
         return map(lambda alphas: (alphas, None), blocks)
 
@@ -415,11 +411,19 @@ def total_weight(T: WeightTable, xi, m):
     The integer moment vector sum(alpha * dim) is accumulated exactly
     first, so the result is an exact rational whenever every entry of xi
     is exact (int / Fraction / 'p/q' string), and a float otherwise.
+    Raises ValueError, naming m and xi, when the float sum leaves the
+    double range (a partial sum overflows, or inf meets -inf).
     """
     moment = T.moment(m)
     if _is_float_like(xi):
-        xf = as_float_vector(xi, T.dim)
-        return math.fsum(mi * ci for mi, ci in zip(moment, xf.tolist()))
+        xf = tuple(as_float_vector(xi, T.dim).tolist())
+        try:
+            return math.fsum(mi * ci for mi, ci in zip(moment, xf))
+        except (OverflowError, ValueError):  # overflow, or inf - inf
+            raise ValueError(
+                f"direction {xf}: the weight sum at degree {m} leaves the "
+                "double range in total_weight"
+            ) from None
     xe = as_exact_vector(xi, T.dim)
     return sum((mi * ci for mi, ci in zip(moment, xe)), Fraction(0))
 

@@ -29,6 +29,7 @@ import hstab.optimal_degeneration as od
 import hstab.weight_rings as wr
 from hstab import corpus
 from hstab.cli import main
+from hstab.errors import EmptyDegree, NotReflexive, TruncationTooCoarse
 
 
 @pytest.fixture()
@@ -191,6 +192,59 @@ def test_non_finite_weight_statistic_exit_2(runner, args, where, quantity):
     (line,) = res.stderr.splitlines()
     assert line.startswith(f"error: {where}")
     assert line.endswith(f": {quantity} is inf, not finite")
+
+
+@pytest.mark.parametrize(
+    "args,where",
+    [
+        (["character", "blowup_one", "--xi", "1e308,-1e308"], "--xi 1e308,-1e308"),
+        (["character", "blowup_one", "--xi", "1e306,1e306"], "--xi 1e306,1e306"),
+        # about 4e18 points: numpy refuses the array before allocating it
+        (["dh", "square", "--xi", "1,0", "--m", "1000000000"], "--m 1000000000"),
+    ],
+)
+def test_character_and_dh_refuse_out_of_range_input(runner, args, where):
+    """A weight sum past the double range, or a degree too large for any
+    array, is refused with exit 2 on one line naming the option."""
+    res = runner.invoke(main, [args[0], path_of(args[1])] + args[2:])
+    assert res.exit_code == 2 and res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith(f"error: {where}: ")
+    if args[0] == "character":
+        assert "the weight sum at degree" in line and "fsum" not in line
+
+
+@pytest.mark.parametrize(
+    "exc,code,text",
+    [
+        (NotReflexive("not reflexive"), 3, "not reflexive"),
+        (ValueError("bad"), 2, "--xi 1: bad"),
+        (OverflowError("big"), 2, "--xi 1: big"),
+        (EmptyDegree("empty"), 2, "--xi 1: empty"),
+        (
+            TruncationTooCoarse("shallow", required_m_max=93),
+            2,
+            "shallow (rerun with --m-max 93 or deeper)",
+        ),
+    ],
+)
+def test_contract_maps_library_errors_to_exit_codes(exc, code, text, capsys):
+    with pytest.raises(SystemExit) as err:
+        with cli._contract("--xi 1", "invariants"):
+            raise exc
+    assert err.value.code == code
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [TypeError("t"), ZeroDivisionError("z"), ArithmeticError("a"), MemoryError()],
+)
+def test_contract_lets_other_exceptions_propagate(exc):
+    """Anything outside the contract is a bug and keeps its traceback."""
+    with pytest.raises(type(exc)):
+        with cli._contract("--xi 1", "invariants"):
+            raise exc
 
 
 def test_c0_overflows_where_exp_does(runner):

@@ -10,6 +10,7 @@ the interval's DH limit.
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -835,6 +836,20 @@ def test_direction_coercion_errors():
         wr.total_weight(T, (1.0,), 1)  # wrong length
     with pytest.raises(ValueError):
         wr.c0_bruteforce(T, (1.0, float("inf")), 1)
+
+
+@pytest.mark.parametrize("xi,m", [((1e308, -1e308), 2), ((1e306, 1e306), 6)])
+def test_total_weight_names_a_sum_past_the_double_range(xi, m):
+    """A float weight sum that overflows, or meets inf - inf, is named by
+    its degree and direction instead of by math.fsum's own text."""
+    T = wr.weight_table_toric(corpus.load_corpus("blowup_one"), 8)
+    text = (
+        f"direction {xi}: the weight sum at degree {m} leaves the double "
+        "range in total_weight"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        wr.total_weight(T, xi, m)
+    assert math.isfinite(wr.total_weight(T, xi, 1))
 
 
 def per_t_weight_character(T, xf, t, m_cut):
