@@ -282,15 +282,7 @@ def cmd_optimize(path: str, tol: float, max_iter: int, trace: bool, output) -> N
         del body["direction"]
     if result.converged:
         body["mu_supremum"] = mu
-        body["verdict"] = {
-            "stable": verdict.stable,
-            "label": verdict.label,
-            "qualifier": verdict.qualifier,
-            "description": verdict.description,
-            "witness_xi": list(verdict.witness_xi),
-            "h_at_witness": verdict.h_at_witness,
-            "hessian_max_eigenvalue": verdict.hessian_max_eigenvalue,
-        }
+        body["verdict"] = dataclasses.asdict(verdict)
     if trace and steps is not None:
         body["trace"] = steps
     params = {"tol": tol, "max_iter": max_iter, "trace": trace}
@@ -407,6 +399,12 @@ def cmd_character(path: str, xi_text: str, t_text: str, m_max: int, output) -> N
         ]
         fit = wr.laurent_fit(table, xi)
         exact = None if P is None else lg.b0_b1_exact(P, xi)
+    _require_finite(
+        f"--xi {xi_text}",
+        **{f"character at t = {s['t']!r}": s["character"] for s in samples},
+        laurent_b0=fit.b0,
+        laurent_b1=fit.b1,
+    )
     body = {
         "source": table.source,
         "dim": table.dim,

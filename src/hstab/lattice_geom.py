@@ -669,15 +669,10 @@ def _lattice_rows(P: LatticePolytope, m: int):
         raise ValueError("coefficients too large for exact int64 filtering")
 
     n = P.dim
-    if n == 1:
-        prefixes = np.zeros((1, 0), dtype=np.int64)
-    elif n == 2:
-        prefixes = np.arange(lo[0], hi[0] + 1, dtype=np.int64)[:, None]
-    else:
-        shape = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
-        grid = np.indices(shape, dtype=np.int64).reshape(n - 1, -1)
-        grid += np.array(lo[:-1], dtype=np.int64)[:, None]
-        prefixes = grid.T  # lex order, as np.indices runs in C order
+    shape = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
+    grid = np.indices(shape, dtype=np.int64).reshape(n - 1, math.prod(shape))
+    grid += np.array(lo[:-1], dtype=np.int64)[:, None]
+    prefixes = grid.T  # lex order, as np.indices runs in C order; (1, 0) at n = 1
 
     def floors(group):
         """floor((m p - <q v', x'>) / |c|) per prefix and facet."""

@@ -239,13 +239,10 @@ class StabilityVerdict:
     stable: bool
     label: str  # Hstable_wrt_product_degenerations | Hunstable
     qualifier: str
+    description: str  # "label (qualifier)"
     witness_xi: tuple
     h_at_witness: float
     hessian_max_eigenvalue: float
-
-    @property
-    def description(self) -> str:
-        return f"{self.label} ({self.qualifier})"
 
 
 _QUALIFIER = "searched torus-product degenerations only"
@@ -260,10 +257,12 @@ def h_stability_verdict(
     result = _converged(P, result, "no stability verdict")
     at_origin = float(np.linalg.norm(result.xi_star)) < 1e-8
     stable = at_origin and result.hessian_max_eigenvalue < 0
+    label = "Hstable_wrt_product_degenerations" if stable else "Hunstable"
     return StabilityVerdict(
         stable=stable,
-        label="Hstable_wrt_product_degenerations" if stable else "Hunstable",
+        label=label,
         qualifier=_QUALIFIER,
+        description=f"{label} ({_QUALIFIER})",
         witness_xi=tuple(result.xi_star.tolist()),
         h_at_witness=result.h_star,
         hessian_max_eigenvalue=result.hessian_max_eigenvalue,

@@ -2,9 +2,9 @@
 
 A WeightTable records, for each degree m = 1..m_max, the torus weights
 alpha occurring in the degree-m piece together with their multiplicities.
-For a reflexive polytope P the toric table has one weight of multiplicity
-1 at every lattice point of mP; external tables with arbitrary
-multiplicities load from CSV.
+External tables, with arbitrary multiplicities, load from CSV as
+explicit rows; the toric table of a reflexive polytope P, a subclass, has
+one weight of multiplicity 1 at every lattice point of mP.
 
 Everything downstream of a table is a statistic of the pairs (alpha, dim):
 total weights and their growth coefficients (b0, b1), the normalized
@@ -58,57 +58,40 @@ def _max_vertex_norm_sq(P) -> Fraction:
 
 
 class WeightTable:
-    """Weight table: per-degree integer weight rows with multiplicities,
-    lex-sorted within each degree.
+    """Weight table of explicit rows, as read from CSV: per-degree integer
+    weight rows with multiplicities, lex-sorted within each degree.
 
-    A table built from explicit blocks (external data) keeps its rows; it
-    must cover every degree 1..m_max with nondecreasing total dimension.
-    A toric table (built on a ``polytope``) keeps only each degree's count
-    N_m and exact moment vector, evaluated from the Ehrhart polynomials of
-    P by ``lattice_geom.lattice_stats`` at O(1) cost per degree; its weights
-    are enumerated afresh on every ``atoms``/``alphas`` call and never
-    kept, so repeated calls return equal arrays but not the same objects,
-    and its ``dims`` are N_m ones built from the count.  The brute-force c0 and the Duistermaat-Heckman sample stream
-    one block of at most 2^16 points at a time (``_atom_blocks``), so they
-    never hold a whole degree.
-
-    The weight bound C, with |alpha|_2 <= C*m for every weight, is derived
-    from the table's own data: C^2 = ``weight_bound_sq`` (exact rational)
-    is the largest squared vertex norm of a toric table's polytope, and the
-    largest |alpha|^2/m^2 over an external table's rows.
-
-    Invariants checked per degree: rows non-empty and multiplicities >= 1;
-    every enumeration of a toric degree's weights must match its count,
-    which checks the polynomial against an independent enumeration.  A
-    toric degree needs no bound check: its largest |alpha|^2 is
-    m^2 max_v |v|^2 = C^2 m^2 by convexity.
+    This constructor is the one place that checks the rows cover every
+    degree 1..m_max, non-empty, with multiplicities >= 1 and nondecreasing
+    total dimension, and it takes each degree's count N_m, exact moment
+    vector and largest |alpha|^2 in one pass (``_block_stats``).  The
+    weight bound C, with |alpha|_2 <= C*m for every weight, is exact:
+    C^2 = ``weight_bound_sq`` is the largest |alpha|^2/m^2 over the rows.
+    The toric table of a polytope is the subclass ``_ToricTable``.
     """
 
-    def __init__(self, dim, m_max, blocks, source, polytope=None):
+    def __init__(self, dim, m_max, blocks, source):
         self.dim = int(dim)
         self.m_max = int(m_max)
         self.source = source
-        self._polytope = polytope
         if self.dim < 1 or self.m_max < 1:
             raise ValueError("dim and m_max must be positive")
-        self._blocks = {}  # m -> (alphas, dims); external tables only
-        self._stats = {}  # m -> (N_m, moment vector)
-        if polytope is not None:
-            self.weight_bound_sq = _max_vertex_norm_sq(polytope)
-            return
         self.weight_bound_sq = Fraction(0)
-        missing = [m for m in range(1, self.m_max + 1) if m not in blocks]
-        if missing:
-            raise EmptyDegree(f"table has no entries at degree m = {missing[0]}")
+        self._blocks = {}  # m -> (alphas, dims)
+        self._stats = {}  # m -> (N_m, moment vector)
         prev = 0
         for m in range(1, self.m_max + 1):
+            if m not in blocks:
+                raise EmptyDegree(f"table has no entries at degree m = {m}")
             self._blocks[m] = self._checked_block(m, *blocks[m])
-            n_m = int(np.sum(self._blocks[m][1]))
+            n_m, moment, worst = _block_stats(*self._blocks[m])
             if n_m < prev:
                 raise ValueError(
                     f"degree {m}: total dimension {n_m} is smaller "
                     f"than at degree {m - 1} ({prev})"
                 )
+            self._stats[m] = (n_m, moment)
+            self.weight_bound_sq = max(self.weight_bound_sq, Fraction(worst, m * m))
             prev = n_m
 
     def _checked_block(self, m, alphas, dims):
@@ -122,22 +105,10 @@ class WeightTable:
             raise ValueError(f"degree {m}: multiplicity column mismatch")
         if np.any(dims < 1):
             raise ValueError(f"degree {m}: multiplicities must be >= 1")
-        worst = int(np.max(np.sum(alphas * alphas, axis=1)))
-        self.weight_bound_sq = max(self.weight_bound_sq, Fraction(worst, m * m))
         return alphas, dims
 
     def _degree_stats(self, m: int):
-        """(N_m, exact moment vector) of degree m, computed once."""
-        if m not in self._stats:
-            if self._polytope is None:
-                self._stats[m] = _block_stats(*self._blocks[m])
-            else:
-                # N_m is nondecreasing automatically: the dilates mP grow
-                st = lg.lattice_stats(self._polytope, m)
-                if st.count == 0:
-                    raise EmptyDegree(f"table has no entries at degree m = {m}")
-                self._stats[m] = (st.count, st.moment)
-        return self._stats[m]
+        return self._stats[m]  # (N_m, moment vector) of a checked degree m
 
     @property
     def weight_bound(self) -> float:
@@ -158,49 +129,27 @@ class WeightTable:
 
     def _atom_blocks(self, m: int):
         """Iterator over (alphas, dims) of a checked degree m in lex order,
-        in blocks of at most ``lattice_geom._BLOCK_POINTS`` rows.  A toric
-        table gives dims None, as every multiplicity is 1; an external table
-        gives views of its stored arrays.  It keeps no block it has handed
-        out, so a caller that drops each block holds one at a time."""
+        in blocks of at most ``lattice_geom._BLOCK_POINTS`` rows: views of
+        the stored arrays.  A caller that drops each block holds one at a
+        time."""
         step = lg._BLOCK_POINTS
-        if self._polytope is None:
-            alphas, dims = self._blocks[m]
-            return (
-                (alphas[i : i + step], dims[i : i + step])
-                for i in range(0, alphas.shape[0], step)
-            )
-        self._degree_stats(m)  # the degree's emptiness check
-        blocks = lg._lattice_point_blocks(self._polytope, m)
-        return map(lambda alphas: (alphas, None), blocks)
+        alphas, dims = self._blocks[m]
+        return (
+            (alphas[i : i + step], dims[i : i + step])
+            for i in range(0, alphas.shape[0], step)
+        )
 
     def _rows(self, m: int) -> int:
         """Number of weight rows at a checked degree m."""
-        if self._polytope is None:
-            return self._blocks[m][0].shape[0]
-        return self._degree_stats(m)[0]
+        return self._blocks[m][0].shape[0]
 
     def alphas(self, m) -> np.ndarray:
-        """The weight rows at degree m; on a toric table one enumeration,
-        checked against the degree's count."""
-        m = self._check_degree(m)
-        if self._polytope is None:
-            return self._blocks[m][0]
-        count, _ = self._degree_stats(m)
-        alphas = lg.lattice_points(self._polytope, m)
-        if alphas.shape[0] != count:
-            raise ValueError(
-                f"degree {m}: enumerated {alphas.shape[0]} weights, "
-                f"lattice_stats counts {count}"
-            )
-        return alphas
+        """The weight rows at degree m."""
+        return self._blocks[self._check_degree(m)][0]
 
     def dims(self, m) -> np.ndarray:
-        """The multiplicities at degree m; on a toric table N_m ones,
-        built from the count without enumerating the degree."""
-        m = self._check_degree(m)
-        if self._polytope is None:
-            return self._blocks[m][1]
-        return np.ones(self._degree_stats(m)[0], dtype=np.int64)
+        """The multiplicities at degree m."""
+        return self._blocks[self._check_degree(m)][1]
 
     def count(self, m) -> int:
         """N_m = total dimension of the degree-m piece."""
@@ -212,25 +161,78 @@ class WeightTable:
 
 
 def _block_stats(alphas, dims):
-    """(N, exact sum of alpha * dim) of one block of explicit rows."""
-    biggest = int(np.max(np.abs(alphas), initial=0))
-    if biggest * int(np.max(dims)) * alphas.shape[0] < 2**62:
+    """(N, exact sum of alpha * dim, largest |alpha|^2) of one degree's
+    rows: in int64 when no partial sum can leave its range, else in Python
+    ints.  With big the largest |entry| (at least 1), every partial sum is
+    at most big * max(largest dim * rows, big * columns) in magnitude."""
+    big = max(-int(alphas.min()), int(alphas.max()), 1)
+    if big * max(int(dims.max()) * alphas.shape[0], big * alphas.shape[1]) < 2**63:
+        n = int(np.sum(dims))
         moment = tuple(int(v) for v in alphas.T @ dims)
-    else:  # exact fallback for extreme external tables
-        moment = tuple(
-            sum(int(a) * int(d) for a, d in zip(col, dims.tolist()))
-            for col in alphas.T.tolist()
-        )
-    return int(np.sum(dims)), moment
+        worst = int(np.max(np.sum(alphas * alphas, axis=1)))
+        return n, moment, worst
+    rows, ds = alphas.tolist(), dims.tolist()
+    moment = tuple(sum(a * d for a, d in zip(col, ds)) for col in zip(*rows))
+    return sum(ds), moment, max(sum(a * a for a in row) for row in rows)
 
 
-def _toric_table_unchecked(P, m_max: int) -> WeightTable:
-    """Toric table without the reflexivity gate (used for translated
-    polytopes in conjugation checks and for external table generation)."""
-    if not lg._is_integer(m_max) or m_max < 1:
-        raise ValueError("m_max must be a positive integer")
-    source = f"toric:{P.name or '<unnamed>'}"
-    return WeightTable(dim=P.dim, m_max=m_max, blocks={}, source=source, polytope=P)
+class _ToricTable(WeightTable):
+    """The toric table of a lattice polytope P: multiplicity 1 at every
+    lattice point of mP (``weight_table_toric`` adds the reflexivity gate).
+
+    It keeps only each degree's count N_m and exact moment vector, read on
+    first use from the Ehrhart polynomials of P (``lattice_geom.
+    lattice_stats``).  Its weights are enumerated afresh on every
+    ``atoms``/``alphas`` call, each enumeration checked against the count,
+    and never kept; ``_atom_blocks`` streams a degree in blocks of at most
+    2^16 points.  C^2 is the largest squared vertex norm of P, which
+    bounds every degree by convexity.
+    """
+
+    def __init__(self, P, m_max):
+        if not lg._is_integer(m_max) or m_max < 1:
+            raise ValueError("m_max must be a positive integer")
+        self.dim = P.dim
+        self.m_max = int(m_max)
+        self.source = f"toric:{P.name or '<unnamed>'}"
+        self.weight_bound_sq = _max_vertex_norm_sq(P)
+        self._P = P
+        self._stats = {}  # m -> (N_m, moment vector), filled on first use
+
+    def _degree_stats(self, m: int):
+        if m not in self._stats:
+            # N_m is nondecreasing automatically: the dilates mP grow
+            st = lg.lattice_stats(self._P, m)
+            if st.count == 0:
+                raise EmptyDegree(f"table has no entries at degree m = {m}")
+            self._stats[m] = (st.count, st.moment)
+        return self._stats[m]
+
+    def _atom_blocks(self, m: int):
+        # dims None: every multiplicity is 1
+        self._degree_stats(m)  # the degree's emptiness check
+        blocks = lg._lattice_point_blocks(self._P, m)
+        return map(lambda alphas: (alphas, None), blocks)
+
+    def _rows(self, m: int) -> int:
+        return self._degree_stats(m)[0]
+
+    def alphas(self, m) -> np.ndarray:
+        """The weight rows at degree m: one enumeration, checked against
+        the degree's count."""
+        m = self._check_degree(m)
+        count, _ = self._degree_stats(m)
+        alphas = lg.lattice_points(self._P, m)
+        if alphas.shape[0] != count:
+            raise ValueError(
+                f"degree {m}: enumerated {alphas.shape[0]} weights, "
+                f"lattice_stats counts {count}"
+            )
+        return alphas
+
+    def dims(self, m) -> np.ndarray:
+        """N_m ones, built from the count without enumerating the degree."""
+        return np.ones(self.count(m), dtype=np.int64)
 
 
 def weight_table_toric(P, m_max: int) -> WeightTable:
@@ -241,7 +243,7 @@ def weight_table_toric(P, m_max: int) -> WeightTable:
         raise NotReflexive(
             "toric weight tables are defined for reflexive polytopes"
         )
-    return _toric_table_unchecked(P, m_max)
+    return _ToricTable(P, m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +271,9 @@ def _fast_blocks(path, dim: int):
     or None whenever the file is not plain: a header other than the
     canonical one, any byte in the data beyond digits, '-', ',' and line
     ends, a field numpy cannot read as an int64, a ragged row, m < 1,
-    dim < 1, a duplicate (m, alpha) or a missing degree.  Every field it
-    takes is one that int() takes to the same value, so the per-field
-    parser reads every file it refuses and names the offending line."""
+    dim < 1 or a duplicate (m, alpha).  Every field it takes is one that
+    int() takes to the same value, so the per-field parser reads every
+    file it refuses and names the offending line."""
     with open(path, "rb") as fh:
         head = fh.readline()
         body = fh.read()
@@ -294,11 +296,9 @@ def _fast_blocks(path, dim: int):
     if np.any(np.all(rows[1:, : dim + 1] == rows[:-1, : dim + 1], axis=1)):
         return None
     cuts = np.flatnonzero(np.diff(rows[:, 0])) + 1
-    if len(cuts) != rows[-1, 0] - 1:  # degrees >= 1, so one is missing
-        return None
     alphas = np.split(np.ascontiguousarray(rows[:, 1:-1]), cuts)
     dims = np.split(np.ascontiguousarray(rows[:, -1]), cuts)
-    return dict(enumerate(zip(alphas, dims), start=1))
+    return dict(zip(rows[np.r_[0, cuts], 0].tolist(), zip(alphas, dims)))
 
 
 def _parsed_blocks(reader, dim: int):
@@ -334,10 +334,8 @@ def _parsed_blocks(reader, dim: int):
     if not by_degree:
         raise ParseError("no data rows", line=2)
     blocks = {}
-    for m in range(1, max(by_degree) + 1):
-        if m not in by_degree:
-            raise EmptyDegree(f"table has no entries at degree m = {m}")
-        entries = sorted(by_degree[m].items())
+    for m, rows in by_degree.items():
+        entries = sorted(rows.items())
         blocks[m] = (
             np.array([a for a, _ in entries], dtype=np.int64),
             np.array([d for _, d in entries], dtype=np.int64),
@@ -377,7 +375,7 @@ def load_weight_table(path) -> WeightTable:
             blocks = _parsed_blocks(reader, dim)
     try:
         return WeightTable(
-            dim=dim, m_max=len(blocks), blocks=blocks, source=f"external:{path}"
+            dim=dim, m_max=max(blocks), blocks=blocks, source=f"external:{path}"
         )
     except ValueError as exc:  # semantic table violations, e.g. N_m drops
         raise ParseError(str(exc)) from exc
@@ -677,7 +675,7 @@ def dh_measure(T: WeightTable, xi, m) -> DHSample:
         stop = start + alphas.shape[0]
         np.divide(alphas @ xf, m, out=lambdas[start:stop])
         start = stop
-    if T._polytope is not None:
+    if isinstance(T, _ToricTable):
         uniq, weights = np.unique(lambdas, return_counts=True)
     else:
         uniq, inverse = np.unique(lambdas, return_inverse=True)

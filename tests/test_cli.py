@@ -12,6 +12,7 @@ import math
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -704,12 +705,35 @@ def test_character_csv_parse_error_exit_2(runner, tmp_path):
     assert "line 3" in res.output
 
 
+def test_character_non_finite_samples_exit_2(runner):
+    """Finite weight sums whose character overflows are refused on one
+    line naming the first non-finite quantity, with no report."""
+    res = runner.invoke(main, ["character", path_of("blowup_one"), "--xi", "1e307,0"])
+    assert res.exit_code == 2 and res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line == "error: --xi 1e307,0: character at t = 0.5 is inf, not finite"
+
+
 def test_character_help_shows_the_laurent_t_samples(runner):
     res = runner.invoke(main, ["character", "--help"])
     assert res.exit_code == 0
     default = ",".join(str(t) for t in wr.LAURENT_T_SAMPLES)
     assert default == "0.5,0.4,0.3,0.25,0.2" == cli.LAURENT_T_DEFAULT
     assert f"default: {default}" in " ".join(res.output.split())
+
+
+def test_readme_cli_examples_exit_0(runner, monkeypatch):
+    """Every `hstab` line of the fenced block in README's CLI section runs
+    from the repository root and exits 0."""
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    block = section.split("\n## ")[0].split("```")[1]
+    commands = [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("hstab ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(root)
+    for args in commands:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, (args, res.output)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,32 @@ def test_external_weight_bound_is_the_largest_row_ratio(tmp_path):
     assert wr.load_weight_table(path).weight_bound_sq == Fraction(10, 4)
 
 
+@pytest.mark.parametrize(
+    "text,count,moment,bound_sq",
+    [
+        # |alpha|^2 = 1.6e19 leaves int64
+        ("m,a1,a2,dim\n1,0,0,1\n1,4000000000,0,1\n", 2, (4 * 10**9, 0), 16 * 10**18),
+        # |int64 min| is not an int64, nor is the moment
+        ("m,a1,a2,dim\n1,-9223372036854775808,0,1\n1,-1,0,1\n", 2, (-(2**63) - 1, 0), 2**126),
+        # N_1 = 2^63
+        ("m,a1,dim\n1,0,4611686018427387904\n1,1,4611686018427387904\n", 2**63, (2**62,), 1),
+    ],
+    ids=["norm_square", "int64_min", "count"],
+)
+def test_external_statistics_exact_beyond_int64(tmp_path, text, count, moment, bound_sq):
+    """Rows that int64 holds but whose squares, moments or counts it does
+    not read exactly, through both CSV readers ('+1' sends a file to the
+    per-field one)."""
+    for body in (text, text.replace("\n1,", "\n+1,")):
+        path = tmp_path / "big.csv"
+        path.write_text(body)
+        T = wr.load_weight_table(path)
+        assert (T.count(1), T.moment(1), T.weight_bound_sq) == (count, moment, bound_sq)
+    if T.dim == 2:
+        D = wr.dh_measure(T, (1.0, 0.0), 1)
+        assert D.masses.tolist() == [0.5, 0.5]
+
+
 def test_degree_gating():
     T = wr.weight_table_toric(corpus.load_corpus("interval"), 3)
     with pytest.raises(DegreeOutOfRange):
@@ -386,7 +412,7 @@ def test_translate_conjugation_exact(polytopes):
     for name in ("square", "blowup_one", "hexagon"):
         P = polytopes[name]
         T = wr.weight_table_toric(P, 5)
-        Tu = wr._toric_table_unchecked(lg.translate(P, u), 5)
+        Tu = wr._ToricTable(lg.translate(P, u), 5)
         du = sum(Fraction(a) * b for a, b in zip(u, xi))
         for m in range(1, 6):
             lhs = wr.total_weight(Tu, xi, m)
