@@ -18,21 +18,24 @@ nodes:
     c_{kl} = exp[th_0..th_n, th_k, th_l]   (k != l)
     c_{kk} = 2 exp[th_0..th_n, th_k, th_k].
 
-Divided differences are evaluated by a hybrid scheme: the forward
-recursion on sorted nodes, switching to the mean-shifted series
+Divided differences are evaluated top down on sorted nodes: the
+recursion
+
+    exp[x_0..x_r] = (exp[x_1..x_r] - exp[x_0..x_{r-1}]) / (x_r - x_0)
+
+while the nodes span more than 1e-4, and the mean-shifted series
 
     exp[x_0..x_r] = exp(mu) * sum_{k>=0} h_k(x - mu) / (r + k)!
 
-(h_k the complete homogeneous symmetric polynomials) whenever a block of
-nodes spans at most 1e-4, so confluent and clustered nodes lose no
-accuracy to cancellation.  The recursion runs down one column, and a tight
-entry is summed only when a wider entry reads it, so a node set that is
-one tight block costs a single series; the series builds h_k one degree
-at a time and stops at its first negligible term.  One moment pass keeps
-one memo keyed by sorted node tuple, holding whole node sets and the
-tight blocks they read alike, so each distinct vertex is converted once
-and each distinct tuple evaluated once per pass; nothing is kept after
-the pass returns.
+(h_k the complete homogeneous symmetric polynomials) below it, so
+confluent and clustered nodes lose no accuracy to cancellation.  A node
+set that is one tight block costs a single series; the series builds h_k
+one degree at a time and stops at its first negligible term.  One moment
+pass keeps one memo keyed by sorted node tuple, holding whole node sets
+and every sub-range the recursion reads alike, so each distinct vertex is
+converted once and each distinct sub-range evaluated once per pass, however
+many node sets and simplices share it; nothing is kept after the pass
+returns.
 """
 
 from __future__ import annotations
@@ -212,46 +215,32 @@ def _series_block(nodes: Sequence[float]) -> float:
 
 
 def _divided_difference(xs: tuple, memo: dict) -> float:
-    """exp[xs] for a nonempty sorted tuple of finite floats.  ``memo`` maps
-    every sorted tuple evaluated so far, whole node set or tight block, to
-    its value; a caller that keeps it across node sets evaluates each of
-    them once."""
+    """exp[xs] for a nonempty sorted tuple of finite floats, top down:
+    (exp[xs[1:]] - exp[xs[:-1]]) / (xs[-1] - xs[0]) while the span exceeds
+    1e-4, the shifted series below it.  ``memo`` maps every sorted tuple
+    evaluated so far, node set or sub-range, to its value; a caller that
+    keeps it across node sets evaluates each sub-range once."""
     val = memo.get(xs)
-    if val is not None:
-        return val
-    k = len(xs)
-    if xs[-1] - xs[0] <= _SERIES_SPAN:
-        val = _series_block(xs) if k > 1 else _safe_exp(xs[0])
-    else:
-        # col[i] holds exp[xs[i..i+span]]; None marks a tight entry, which a
-        # wider entry reads through the memo
-        col = [_safe_exp(x) for x in xs]
-        for span in range(1, k):
-            for i in range(k - span):
-                j = i + span
-                gap = xs[j] - xs[i]
-                if gap > _SERIES_SPAN:
-                    hi, lo = col[i + 1], col[i]
-                    if hi is None:
-                        hi = col[i + 1] = _divided_difference(xs[i + 1 : j + 1], memo)
-                    if lo is None:
-                        lo = _divided_difference(xs[i:j], memo)
-                    col[i] = (hi - lo) / gap
-                else:
-                    col[i] = None
-        val = col[0]
-    memo[xs] = val
+    if val is None:
+        span = xs[-1] - xs[0]
+        if span > _SERIES_SPAN:
+            hi = _divided_difference(xs[1:], memo)
+            val = (hi - _divided_difference(xs[:-1], memo)) / span
+        else:
+            val = _series_block(xs) if len(xs) > 1 else _safe_exp(xs[0])
+        memo[xs] = val
     return val
 
 
 def exp_divided_difference(nodes) -> float:
     """Divided difference of exp over the given nodes (any multiplicity).
 
-    Nodes are sorted; blocks spanning more than 1e-4 use the forward
-    recursion, tighter blocks the shifted series, so clustered and exactly
-    repeated nodes are handled without cancellation.  A tight block is
-    evaluated only when a wider one reads it, so a fully clustered node set
-    costs one series.
+    Nodes are sorted; sub-ranges spanning more than 1e-4 use the top-down
+    recursion, tighter ones the shifted series, so clustered and exactly
+    repeated nodes are handled without cancellation, and a fully clustered
+    node set costs one series.  Each of the k(k+1)/2 sub-ranges of k nodes
+    is kept until the call returns, and the recursion is k calls deep:
+    meant for the few nodes of a simplex's moments, not for thousands.
     """
     xs = tuple(sorted(float(x) for x in nodes))
     if not xs:
@@ -286,10 +275,12 @@ def exp_moments(simplices, xi, order: int = 2):
     where shift = max over all vertices of -<x, xi>, so i0 is free of
     overflow for any xi.  i1/i2 are None below the requested order, which
     must be 0, 1 or 2.  Accumulation across simplices uses exact
-    compensated summation in the order the simplices are given.  Each
-    distinct vertex object is converted once, and each distinct sorted
-    tuple, node set or tight block, evaluated once per call, so shared
-    vertices, repeated node sets and clusters they share cost nothing extra.
+    compensated summation in the order the simplices are given; the order-1
+    and order-2 sums skip vertex coordinates equal to 0, whose terms are
+    +-0.0 and leave the sums' bits alone.  Each distinct vertex object is
+    converted once, and each distinct sorted tuple, node set or sub-range
+    of one, evaluated once per call, so shared vertices, repeated node sets
+    and the sub-ranges they share cost nothing extra.
     A direction whose nodes leave the double range, or whose shifted mass
     i0 is not positive (it underflows to 0, or the divided differences
     lost accuracy), raises ValueError.
@@ -331,7 +322,7 @@ def exp_moments(simplices, xi, order: int = 2):
 
     # exp[...] depends only on the sorted nodes, and simplices meeting at
     # a vertex, or entries of one simplex, repeat node sets; the sets in
-    # turn share their tight blocks
+    # turn share their sub-ranges
     memo = {}
 
     def dd(nodes) -> float:
@@ -349,10 +340,13 @@ def exp_moments(simplices, xi, order: int = 2):
         w = nfact * float(s.volume())
         c0_parts.append(w * dd(nodes))
         if order >= 1:
+            # nz[i]: the vertices whose coordinate i is not 0; the others'
+            # terms are +-0.0, which leave an fsum alone
+            nz = [[k for k, v in enumerate(verts) if v[i]] for i in range(n)]
             dd1 = [dd(nodes + [t]) for t in nodes]
             for i in range(n):
                 c1_parts[i].append(
-                    w * math.fsum(verts[k][i] * dd1[k] for k in range(len(nodes)))
+                    w * math.fsum(verts[k][i] * dd1[k] for k in nz[i])
                 )
         if order >= 2:
             kk = len(nodes)
@@ -367,8 +361,8 @@ def exp_moments(simplices, xi, order: int = 2):
                 for j in range(i, n):
                     acc = math.fsum(
                         verts[k][i] * verts[l][j] * c2[k][l]
-                        for k in range(kk)
-                        for l in range(kk)
+                        for k in nz[i]
+                        for l in nz[j]
                     )
                     c2_parts[i][j].append(w * acc)
 

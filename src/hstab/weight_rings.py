@@ -665,8 +665,9 @@ def dh_measure(T: WeightTable, xi, m) -> DHSample:
     xi.  The lambdas fill one array block by block.  Atoms with exactly
     equal lambda (after the float division) are merged: with unit
     multiplicities (a toric table) their masses are the counts, otherwise
-    they are accumulated in exact integers, before the single division by
-    N_m."""
+    they are accumulated in exact integers (int64 while N_m, which bounds
+    every merged mass, fits it, else Python ints), before the single
+    division by N_m."""
     m = T._check_degree(m)
     xf = as_float_vector(xi, T.dim)
     lambdas = np.empty(T._rows(m))
@@ -679,9 +680,10 @@ def dh_measure(T: WeightTable, xi, m) -> DHSample:
         uniq, weights = np.unique(lambdas, return_counts=True)
     else:
         uniq, inverse = np.unique(lambdas, return_inverse=True)
-        weights = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(weights, inverse, T.dims(m))
-    masses = weights / T.count(m)
+        dtype = np.int64 if T.count(m) < 2**63 else object
+        weights = np.zeros(uniq.shape[0], dtype=dtype)
+        np.add.at(weights, inverse, T.dims(m).astype(dtype, copy=False))
+    masses = np.asarray(weights / T.count(m), dtype=float)
     with np.errstate(over="ignore"):
         # a direction too large for the norm gets an inf bound, silently
         bound = T.weight_bound * float(np.linalg.norm(xf))

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -749,6 +750,98 @@ def test_pass_sums_each_tight_block_once(stalled_pass, monkeypatch):
     assert len(once) == len(set(once)) > 0
     assert set(once) == set(calls)
     assert len(calls) > 2 * len(once)
+
+
+def top_down_sub_ranges(xs):
+    """The sorted sub-ranges the top-down rule reads for exp[xs]: xs, and
+    while a range spans more than 1e-4, those of its two one-shorter ends."""
+    out, todo = set(), [xs]
+    while todo:
+        ys = todo.pop()
+        if ys not in out:
+            out.add(ys)
+            if ys[-1] - ys[0] > 1e-4:
+                todo += [ys[1:], ys[:-1]]
+    return out
+
+
+def pass_node_sets(simplices, xi):
+    """Every sorted node set an order-2 pass reads: per simplex, its n+1
+    nodes, with each node once more, and with each pair of nodes added."""
+    xf = [float(c) for c in xi]
+
+    def node(v):
+        return -math.fsum(c * float(x) for c, x in zip(xf, v))
+
+    shift = max(node(v) for s in simplices for v in s.vertices)
+    for s in simplices:
+        nodes = [node(v) - shift for v in s.vertices]
+        yield nodes
+        for k, t in enumerate(nodes):
+            yield nodes + [t]
+            for u in nodes[k:]:
+                yield nodes + [t, u]
+
+
+def test_pass_evaluates_each_sub_range_once(stalled_pass, monkeypatch):
+    """At the stalled iterate an order-2 pass evaluates each distinct
+    sorted sub-range of the node sets it reads exactly once, and no other
+    tuple: the one memo is shared by the sub-ranges of one node set, of
+    the node sets of one simplex and of neighbouring simplices."""
+    simplices, xi = stalled_pass
+    misses = []
+    dd = sc._divided_difference
+
+    def counting(xs, memo):
+        if xs not in memo:
+            misses.append(xs)
+        return dd(xs, memo)
+
+    monkeypatch.setattr(sc, "_divided_difference", counting)
+    exp_moments(simplices, xi, order=2)
+    per_set = [
+        top_down_sub_ranges(tuple(sorted(ns))) for ns in pass_node_sets(simplices, xi)
+    ]
+    want = set().union(*per_set)
+    assert len(misses) == len(set(misses))
+    assert set(misses) == want
+    # sharing across node sets and simplices
+    assert sum(map(len, per_set)) > 5 * len(want)
+
+
+@pytest.mark.parametrize("product", BENCH_PRODUCTS, ids="x".join)
+def test_zero_coordinate_terms_skipped_bitwise(polytopes, product):
+    """The order-1 and order-2 sums skip vertex coordinates equal to 0,
+    whose terms are +-0.0; the sums keep the bits of the full k, l sums
+    of the per-occurrence oracle at directions of every scale."""
+    P = named_polytope(polytopes, "x".join(product))
+    simplices = lg.triangulate(P).simplices
+    assert any(x == 0 for s in simplices for v in s.vertices for x in v)
+    rng = random.Random("zeros" + "x".join(product))
+    for scale in (1e-8, 1e-3, 1.0, 30.0):
+        xi = [scale * rng.uniform(-1.0, 1.0) for _ in range(P.dim)]
+        for order in (1, 2):
+            got = exp_moments(simplices, xi, order)
+            want = per_occurrence_exp_moments(simplices, xi, order)
+            assert hexbits(got) == hexbits(want), (xi, order)
+
+
+def test_dim6_pass_memory(polytopes):
+    """An order-2 pass on the 6-D cube x cube (1440 simplices) keeps every
+    sub-range of the pass in its memo; it stays under 64 MB traced (about
+    35 MiB; the pass takes about 5 s under tracemalloc)."""
+    P = named_polytope(polytopes, "cubexcube")
+    simplices = lg.triangulate(P).simplices
+    assert len(simplices) == 1440
+    for s in simplices:
+        s.volume()
+    tracemalloc.start()
+    try:
+        exp_moments(simplices, [0.3, -0.2, 0.11, 0.05, -0.4, 0.27], order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

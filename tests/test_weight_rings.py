@@ -179,6 +179,18 @@ def test_external_statistics_exact_beyond_int64(tmp_path, text, count, moment, b
         assert D.masses.tolist() == [0.5, 0.5]
 
 
+def test_dh_merges_explicit_masses_beyond_int64(tmp_path):
+    """Two rows of multiplicity 2^62 merge, at xi = 0, into one atom of
+    mass 2^63, past int64: exact integers give it mass 1."""
+    path = tmp_path / "big.csv"
+    path.write_text("m,a1,dim\n1,0,4611686018427387904\n1,1,4611686018427387904\n")
+    T = wr.load_weight_table(path)
+    D = wr.dh_measure(T, (0.0,), 1)
+    assert (D.lambdas.tolist(), D.masses.tolist()) == ([0.0], [1.0])
+    D = wr.dh_measure(T, (1.0,), 1)
+    assert (D.lambdas.tolist(), D.masses.tolist()) == ([0.0, 1.0], [0.5, 0.5])
+
+
 def test_degree_gating():
     T = wr.weight_table_toric(corpus.load_corpus("interval"), 3)
     with pytest.raises(DegreeOutOfRange):
