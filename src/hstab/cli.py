@@ -15,7 +15,8 @@ string, so report bodies are byte-identical across runs with the same
 inputs (the manifest carries the wall-clock duration, the report never
 does).  Diagnostics go to stderr only.  Exit codes: 0 ok, 1 an internal
 numerical check failed (one ``error:`` line names the stage, the direction
-and DF - H there), 2 parse or invalid parameters, 3 not reflexive, 4
+and DF - H there) or memory ran out (one ``error:`` line names the stage and
+the MemoryError), 2 parse or invalid parameters, 3 not reflexive, 4
 unbounded direction (q = (n+1)/n * barycenter is not interior to P;
 ``direction`` is a facet witness), 5 non-convergence.  Codes 1-3 for library
 errors are chosen by ``_contract`` alone, 4 and 5 by the optimizer status
@@ -125,8 +126,8 @@ def _contract(where, stage=None, P=None, xi=None):
     or at the direction the error carries when xi is None;
     TruncationTooCoarse exits 2 with its rerun hint; any other HstabError,
     ValueError or OverflowError exits 2 on one line prefixed by ``where``,
-    the option whose value was refused, when given.  Anything else
-    propagates."""
+    the option whose value was refused, when given; MemoryError exits 1 on
+    one line naming ``stage`` and ``where``.  Anything else propagates."""
     try:
         yield
     except NotReflexive as exc:
@@ -140,6 +141,10 @@ def _contract(where, stage=None, P=None, xi=None):
         )
     except (HstabError, ValueError, OverflowError) as exc:
         _fail(EXIT_PARSE, f"{where}: {exc}" if where else exc)
+    except MemoryError as exc:
+        prefix = ": ".join(filter(None, (stage, where)))
+        detail = f"MemoryError: {exc}" if str(exc) else "MemoryError"
+        _fail(1, f"{prefix}: out of memory ({detail})")
 
 
 def _sha256(path: str) -> str:
@@ -184,7 +189,7 @@ def _parse_xi(text: str, dim: int) -> tuple:
 
 
 def _load_polytope(path: str) -> lg.LatticePolytope:
-    with _contract(None):
+    with _contract(None, "load_polytope"):
         return lg.load_polytope(path)
 
 
@@ -352,12 +357,12 @@ def _load_character_input(path: str, m_max: int):
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.read(1)
     if head != "{":
-        with _contract(None):
+        with _contract(None, "load_weight_table"):
             return None, wr.load_weight_table(path)
     P = _load_polytope(path)
     if m_max < 1:
         _fail(EXIT_PARSE, f"--m-max must be >= 1, got {m_max}")
-    with _contract(None):
+    with _contract(None, "weight_table_toric"):
         return P, wr.weight_table_toric(P, m_max)
 
 

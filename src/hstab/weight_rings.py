@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -58,33 +59,46 @@ def _max_vertex_norm_sq(P) -> Fraction:
 
 
 class WeightTable:
-    """Weight table of explicit rows, as read from CSV: per-degree integer
-    weight rows with multiplicities, lex-sorted within each degree.
+    """Weight table of explicit rows, as read from CSV: integer weight rows
+    with multiplicities, in canonical order (degree ascending, then alpha
+    lex within each degree).
 
-    This constructor is the one place that checks the rows cover every
-    degree 1..m_max, non-empty, with multiplicities >= 1 and nondecreasing
-    total dimension, and it takes each degree's count N_m, exact moment
-    vector and largest |alpha|^2 in one pass (``_block_stats``).  The
-    weight bound C, with |alpha|_2 <= C*m for every weight, is exact:
-    C^2 = ``weight_bound_sq`` is the largest |alpha|^2/m^2 over the rows.
-    The toric table of a polytope is the subclass ``_ToricTable``.
+    ``alphas`` (rows x dim) and ``dims`` hold every row, degree by degree;
+    ``degree_rows`` maps each degree, ascending and >= 1, to its number of
+    rows.  This constructor is the one place that checks the rows cover
+    every degree 1..m_max, non-empty, with multiplicities >= 1 and
+    nondecreasing total dimension, and it takes every degree's count N_m,
+    exact moment vector and largest |alpha|^2 in one grouped pass
+    (``_grouped_stats``).  The weight bound C, with |alpha|_2 <= C*m for
+    every weight, is exact: C^2 = ``weight_bound_sq`` is the largest
+    |alpha|^2/m^2 over the rows.  The toric table of a polytope is the
+    subclass ``_ToricTable``.
     """
 
-    def __init__(self, dim, m_max, blocks, source):
+    def __init__(self, dim, alphas, dims, degree_rows, source):
         self.dim = int(dim)
-        self.m_max = int(m_max)
+        self.m_max = len(degree_rows)
         self.source = source
         if self.dim < 1 or self.m_max < 1:
             raise ValueError("dim and m_max must be positive")
+        self._offsets = [0]  # degree m holds rows _offsets[m - 1]:_offsets[m]
+        for k, (m, rows) in enumerate(degree_rows.items(), start=1):
+            if m != k or rows < 1:
+                raise EmptyDegree(f"table has no entries at degree m = {k}")
+            self._offsets.append(self._offsets[-1] + rows)
+        self._alphas = np.ascontiguousarray(alphas, dtype=np.int64)
+        self._dims = np.ascontiguousarray(dims, dtype=np.int64)
+        if self._alphas.shape != (self._offsets[-1], self.dim):
+            raise ValueError("weight rows have wrong shape")
+        if self._dims.shape != (self._offsets[-1],):
+            raise ValueError("multiplicity column mismatch")
+        if self._dims.min() < 1:
+            raise ValueError("multiplicities must be >= 1")
         self.weight_bound_sq = Fraction(0)
-        self._blocks = {}  # m -> (alphas, dims)
         self._stats = {}  # m -> (N_m, moment vector)
         prev = 0
-        for m in range(1, self.m_max + 1):
-            if m not in blocks:
-                raise EmptyDegree(f"table has no entries at degree m = {m}")
-            self._blocks[m] = self._checked_block(m, *blocks[m])
-            n_m, moment, worst = _block_stats(*self._blocks[m])
+        stats = _grouped_stats(self._alphas, self._dims, self._offsets)
+        for m, (n_m, moment, worst) in enumerate(stats, start=1):
             if n_m < prev:
                 raise ValueError(
                     f"degree {m}: total dimension {n_m} is smaller "
@@ -94,18 +108,9 @@ class WeightTable:
             self.weight_bound_sq = max(self.weight_bound_sq, Fraction(worst, m * m))
             prev = n_m
 
-    def _checked_block(self, m, alphas, dims):
-        alphas = np.ascontiguousarray(alphas, dtype=np.int64)
-        dims = np.ascontiguousarray(dims, dtype=np.int64)
-        if alphas.ndim != 2 or alphas.shape[1] != self.dim:
-            raise ValueError(f"degree {m}: weight rows have wrong shape")
-        if alphas.shape[0] == 0:
-            raise EmptyDegree(f"table has no entries at degree m = {m}")
-        if dims.shape != (alphas.shape[0],):
-            raise ValueError(f"degree {m}: multiplicity column mismatch")
-        if np.any(dims < 1):
-            raise ValueError(f"degree {m}: multiplicities must be >= 1")
-        return alphas, dims
+    def _span(self, m: int) -> slice:
+        """The rows of a checked degree m."""
+        return slice(self._offsets[m - 1], self._offsets[m])
 
     def _degree_stats(self, m: int):
         return self._stats[m]  # (N_m, moment vector) of a checked degree m
@@ -133,7 +138,8 @@ class WeightTable:
         the stored arrays.  A caller that drops each block holds one at a
         time."""
         step = lg._BLOCK_POINTS
-        alphas, dims = self._blocks[m]
+        rows = self._span(m)
+        alphas, dims = self._alphas[rows], self._dims[rows]
         return (
             (alphas[i : i + step], dims[i : i + step])
             for i in range(0, alphas.shape[0], step)
@@ -141,15 +147,15 @@ class WeightTable:
 
     def _rows(self, m: int) -> int:
         """Number of weight rows at a checked degree m."""
-        return self._blocks[m][0].shape[0]
+        return self._offsets[m] - self._offsets[m - 1]
 
     def alphas(self, m) -> np.ndarray:
         """The weight rows at degree m."""
-        return self._blocks[self._check_degree(m)][0]
+        return self._alphas[self._span(self._check_degree(m))]
 
     def dims(self, m) -> np.ndarray:
         """The multiplicities at degree m."""
-        return self._blocks[self._check_degree(m)][1]
+        return self._dims[self._span(self._check_degree(m))]
 
     def count(self, m) -> int:
         """N_m = total dimension of the degree-m piece."""
@@ -160,20 +166,29 @@ class WeightTable:
         return self._degree_stats(self._check_degree(m))[1]
 
 
-def _block_stats(alphas, dims):
-    """(N, exact sum of alpha * dim, largest |alpha|^2) of one degree's
-    rows: in int64 when no partial sum can leave its range, else in Python
-    ints.  With big the largest |entry| (at least 1), every partial sum is
-    at most big * max(largest dim * rows, big * columns) in magnitude."""
+def _grouped_stats(alphas, dims, offsets):
+    """(N, exact sum of alpha * dim, largest |alpha|^2) of every degree, the
+    rows of degree m being offsets[m - 1]:offsets[m].  One grouped int64
+    pass when no partial sum can leave int64's range, else per degree in
+    Python ints.  With big the largest |entry| (at least 1) and rows the
+    largest degree's row count, every partial sum is at most
+    big * max(largest dim * rows, big * columns) in magnitude."""
+    starts = offsets[:-1]
+    rows = max(hi - lo for lo, hi in zip(offsets, offsets[1:]))
     big = max(-int(alphas.min()), int(alphas.max()), 1)
-    if big * max(int(dims.max()) * alphas.shape[0], big * alphas.shape[1]) < 2**63:
-        n = int(np.sum(dims))
-        moment = tuple(int(v) for v in alphas.T @ dims)
-        worst = int(np.max(np.sum(alphas * alphas, axis=1)))
-        return n, moment, worst
-    rows, ds = alphas.tolist(), dims.tolist()
-    moment = tuple(sum(a * d for a, d in zip(col, ds)) for col in zip(*rows))
-    return sum(ds), moment, max(sum(a * a for a in row) for row in rows)
+    if big * max(int(dims.max()) * rows, big * alphas.shape[1]) < 2**63:
+        counts = np.add.reduceat(dims, starts).tolist()
+        # column by column, so the one temporary is a column long
+        moments = zip(*(np.add.reduceat(col * dims, starts).tolist() for col in alphas.T))
+        norms = np.einsum("ij,ij->i", alphas, alphas)
+        worst = np.maximum.reduceat(norms, starts).tolist()
+        return list(zip(counts, moments, worst))
+    stats = []
+    for lo, hi in zip(offsets, offsets[1:]):
+        block, ds = alphas[lo:hi].tolist(), dims[lo:hi].tolist()
+        moment = tuple(sum(a * d for a, d in zip(col, ds)) for col in zip(*block))
+        stats.append((sum(ds), moment, max(sum(a * a for a in row) for row in block)))
+    return stats
 
 
 class _ToricTable(WeightTable):
@@ -257,53 +272,96 @@ def _csv_header(dim: int):
 def _parse_int(field: str, what: str, line: int) -> int:
     field = field.strip()
     try:
-        return int(field)
+        value = int(field)
     except ValueError as exc:
         raise ParseError(f"{what} {field!r} is not an integer", line=line) from exc
+    if not -(2**63) <= value < 2**63:
+        raise ParseError(f"{what} {field!r} is outside the int64 range", line=line)
+    return value
 
 
-# the only bytes a data row may hold for numpy to read the file in one pass
+# the only bytes a data row may hold for numpy to read the file
 _CSV_FAST_BYTES = b"0123456789,-\r\n"
 
 
-def _fast_blocks(path, dim: int):
-    """Per-degree (alphas, dims) blocks of a CSV read by numpy in one pass,
-    or None whenever the file is not plain: a header other than the
-    canonical one, any byte in the data beyond digits, '-', ',' and line
-    ends, a field numpy cannot read as an int64, a ragged row, m < 1,
-    dim < 1 or a duplicate (m, alpha).  Every field it takes is one that
-    int() takes to the same value, so the per-field parser reads every
-    file it refuses and names the offending line."""
-    with open(path, "rb") as fh:
+def _read_columns(path, columns, lines: int) -> np.ndarray:
+    """The given columns of every data row, in one pass of numpy's reader.
+    ``lines``, the number of lines after the header, bounds the number of
+    rows, so numpy allocates the array once."""
+    with warnings.catch_warnings():
+        # numpy notes each blank line, which max_rows does not count
+        warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+        return np.loadtxt(
+            path, dtype=np.int64, delimiter=",", comments=None, skiprows=1,
+            ndmin=2, encoding="ascii", usecols=columns, max_rows=lines,
+        )
+
+
+def _strictly_increasing(ms, alphas) -> bool:
+    """Whether every row (m, alpha) is lexicographically greater than the
+    one before it, which also rules out a duplicate (m, alpha)."""
+    if np.any(ms[1:] < ms[:-1]):
+        return False
+    tied = ms[1:] == ms[:-1]  # pairs that the columns so far do not order
+    scratch = np.empty_like(tied)
+    for col in alphas.T:
+        later, earlier = col[1:], col[:-1]
+        if np.logical_and(tied, np.less(later, earlier, out=scratch), out=scratch).any():
+            return False
+        tied &= np.equal(later, earlier, out=scratch)
+    return not tied.any()
+
+
+def _fast_rows(path, dim: int):
+    """(alphas, dims, degree_rows) of a CSV read by numpy, or None whenever
+    the file is not plain: a header other than the canonical one, any byte
+    in the data beyond digits, '-', ',' and line ends, a field numpy cannot
+    read as an int64, a ragged row, m < 1, dim < 1 or a duplicate
+    (m, alpha).  Every field it takes is one that int() takes to the same
+    value, so the per-field parser reads every file it refuses and names
+    the offending line.
+
+    The degree and multiplicity columns are read first and the weights in a
+    second pass, so the rows are never held twice.  A file in canonical
+    order is checked in place; any other order costs one sort."""
+    # unbuffered, so that read() allocates the body once
+    with open(path, "rb", buffering=0) as fh:
         head = fh.readline()
         body = fh.read()
     canonical = ",".join(_csv_header(dim)).encode()
-    if head.rstrip(b"\r\n") != canonical or not body.strip(b"\r\n"):
-        return None
+    if head.rstrip(b"\r\n") != canonical or not body.lstrip(b"\r\n"):
+        return None  # another header, or no data
     if body.translate(None, _CSV_FAST_BYTES) or body.count(b"\r") != body.count(b"\r\n"):
         return None
+    lines = body.count(b"\n") + (not body.endswith(b"\n"))
+    commas = body.count(b",")
     del body  # numpy reads the file itself
     try:
-        rows = np.loadtxt(
-            path, dtype=np.int64, delimiter=",", comments=None,
-            skiprows=1, ndmin=2, encoding="ascii",
-        )
-    except ValueError:
+        pairs = _read_columns(path, (0, dim + 1), lines)
+        ms, dims = pairs[:, 0].copy(), pairs[:, 1].copy()
+        del pairs
+        alphas = _read_columns(path, range(1, dim + 1), lines)
+    except ValueError:  # a bad field, or a row too short for the columns
         return None
-    if rows.shape[1] != dim + 2 or rows[:, 0].min() < 1 or rows[:, -1].min() < 1:
+    # every row has dim + 2 fields or more, so this count leaves none longer
+    if commas != (dim + 1) * ms.shape[0] or ms.min() < 1 or dims.min() < 1:
         return None
-    rows = rows[np.lexsort(rows[:, dim::-1].T)]  # by m, then alpha lex
-    if np.any(np.all(rows[1:, : dim + 1] == rows[:-1, : dim + 1], axis=1)):
-        return None
-    cuts = np.flatnonzero(np.diff(rows[:, 0])) + 1
-    alphas = np.split(np.ascontiguousarray(rows[:, 1:-1]), cuts)
-    dims = np.split(np.ascontiguousarray(rows[:, -1]), cuts)
-    return dict(zip(rows[np.r_[0, cuts], 0].tolist(), zip(alphas, dims)))
+    if not _strictly_increasing(ms, alphas):
+        order = np.lexsort(tuple(alphas.T[::-1]) + (ms,))  # by m, then alpha lex
+        # one array at a time, so each unsorted one is dropped as it goes
+        ms = ms[order]
+        alphas = alphas[order]
+        dims = dims[order]
+        if not _strictly_increasing(ms, alphas):
+            return None  # a duplicate (m, alpha)
+    starts = np.r_[0, np.flatnonzero(ms[1:] != ms[:-1]) + 1]
+    sizes = np.diff(starts, append=ms.shape[0])
+    return alphas, dims, dict(zip(ms[starts].tolist(), sizes.tolist()))
 
 
-def _parsed_blocks(reader, dim: int):
-    """Per-degree (alphas, dims) blocks from csv rows parsed field by
-    field, raising ParseError on the first bad line."""
+def _parsed_rows(reader, dim: int):
+    """(alphas, dims, degree_rows) from csv rows parsed field by field,
+    raising ParseError on the first bad line."""
     by_degree = {}  # m -> {alpha: dim}
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -333,25 +391,25 @@ def _parsed_blocks(reader, dim: int):
         rows[alpha] = d
     if not by_degree:
         raise ParseError("no data rows", line=2)
-    blocks = {}
-    for m, rows in by_degree.items():
-        entries = sorted(rows.items())
-        blocks[m] = (
-            np.array([a for a, _ in entries], dtype=np.int64),
-            np.array([d for _, d in entries], dtype=np.int64),
-        )
-    return blocks
+    degrees = sorted(by_degree)
+    entries = [e for m in degrees for e in sorted(by_degree[m].items())]
+    return (
+        np.array([a for a, _ in entries], dtype=np.int64),
+        np.array([d for _, d in entries], dtype=np.int64),
+        {m: len(by_degree[m]) for m in degrees},
+    )
 
 
 def load_weight_table(path) -> WeightTable:
     """Read a weight table from CSV "m,a1,...,an,dim".
 
     Raises ParseError (with 1-based line number) on malformed headers,
-    ragged rows, non-integer weights, multiplicities < 1, or duplicate
-    (m, alpha) rows; EmptyDegree when some degree in 1..max(m) has no
-    rows.  Row order in the file is irrelevant; storage is canonical
-    (m, then alpha lex).  A plain file is read by numpy in one pass; any
-    other goes field by field, so every error names its line."""
+    ragged rows, non-integer or out-of-int64 fields, multiplicities < 1, or
+    duplicate (m, alpha) rows; EmptyDegree when some degree in 1..max(m)
+    has no rows.  Row order in the file is irrelevant; storage is
+    canonical (m, then alpha lex).  A plain file is read by numpy
+    (``_fast_rows``); any other goes field by field, so every error names
+    its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -370,13 +428,11 @@ def load_weight_table(path) -> WeightTable:
                 line=1,
             )
         dim = len(header) - 2
-        blocks = _fast_blocks(path, dim)
-        if blocks is None:
-            blocks = _parsed_blocks(reader, dim)
+        rows = _fast_rows(path, dim)
+        if rows is None:
+            rows = _parsed_rows(reader, dim)
     try:
-        return WeightTable(
-            dim=dim, m_max=max(blocks), blocks=blocks, source=f"external:{path}"
-        )
+        return WeightTable(dim, *rows, source=f"external:{path}")
     except ValueError as exc:  # semantic table violations, e.g. N_m drops
         raise ParseError(str(exc)) from exc
 

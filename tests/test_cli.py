@@ -239,13 +239,60 @@ def test_contract_maps_library_errors_to_exit_codes(exc, code, text, capsys):
 
 @pytest.mark.parametrize(
     "exc",
-    [TypeError("t"), ZeroDivisionError("z"), ArithmeticError("a"), MemoryError()],
+    [TypeError("t"), ZeroDivisionError("z"), ArithmeticError("a")],
 )
 def test_contract_lets_other_exceptions_propagate(exc):
     """Anything outside the contract is a bug and keeps its traceback."""
     with pytest.raises(type(exc)):
         with cli._contract("--xi 1", "invariants"):
             raise exc
+
+
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+
+@pytest.mark.parametrize(
+    "target,args,line",
+    [
+        (
+            "dh_measure",
+            ["dh", "square", "--xi", "1,0", "--m", "4"],
+            "dh: --m 4: out of memory (MemoryError: Unable to allocate 8.00 GiB for an array)",
+        ),
+        (
+            "laurent_fit",
+            ["character", "blowup_one", "--xi", "1,1"],
+            "character: --xi 1,1: out of memory (MemoryError: Unable to allocate 8.00 GiB for an array)",
+        ),
+        (
+            "load_weight_table",
+            ["character", "table.csv", "--xi", "1"],
+            "load_weight_table: out of memory (MemoryError: Unable to allocate 8.00 GiB for an array)",
+        ),
+    ],
+)
+def test_memory_error_exits_1_on_one_line(runner, tmp_path, monkeypatch, target, args, line):
+    """A MemoryError from a library call exits 1 on one error line that
+    names the stage and keeps the word MemoryError, with no traceback.  The
+    call is monkeypatched to raise; nothing large is allocated."""
+    table = tmp_path / "table.csv"
+    table.write_text("m,a1,dim\n1,0,1\n")
+    monkeypatch.setattr(wr, target, _raise_memory_error)
+    path = str(table) if args[1] == "table.csv" else path_of(args[1])
+    res = runner.invoke(main, [args[0], path] + args[2:])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr == f"error: {line}\n"
+
+
+def test_contract_names_a_bare_memory_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        with cli._contract("--oracle 12", "invariants"):
+            raise MemoryError()
+    assert err.value.code == 1
+    assert capsys.readouterr().err == (
+        "error: invariants: --oracle 12: out of memory (MemoryError)\n"
+    )
 
 
 def test_c0_overflows_where_exp_does(runner):

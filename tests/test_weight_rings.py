@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -332,6 +333,15 @@ def test_csv_errors(tmp_path):
         ("1,0,1\n2,0,0\n", 3, "multiplicity 0 must be >= 1"),
         ("1,0,1\n2,0,1\n2,0,2\n", 4, "duplicate row for m = 2, alpha = (0,)"),
         ("2,0,1\n1,0,1\n1,0,1\n", 4, "duplicate row for m = 1, alpha = (0,)"),
+        # fields past int64 are refused by name, not by an OverflowError
+        ("1,99999999999999999999,1\n", 2,
+         "weight entry '99999999999999999999' is outside the int64 range"),
+        ("1,0,99999999999999999999\n", 2,
+         "multiplicity '99999999999999999999' is outside the int64 range"),
+        ("1,0,1\n1,-9223372036854775809,1\n", 3,
+         "weight entry '-9223372036854775809' is outside the int64 range"),
+        ("1,0,1\n100000000000000000000,0,1\n", 3,
+         "degree '100000000000000000000' is outside the int64 range"),
     ]:
         with pytest.raises(ParseError) as err:
             load("m,a1,dim\n" + body)
@@ -356,6 +366,84 @@ def test_csv_plain_file_parsed_in_one_pass(tmp_path, monkeypatch):
         assert T2.alphas(m).tobytes() == T.alphas(m).tobytes()
         assert T2.dims(m).tolist() == [1] * T.count(m)
         assert T2.moment(m) == T.moment(m)
+
+
+def table_digest(T):
+    """Everything a loaded table holds: each degree's alpha and dim bytes,
+    count and moment, and the weight bound."""
+    return [
+        (T.alphas(m).tobytes(), T.dims(m).tobytes(), T.count(m), T.moment(m))
+        for m in range(1, T.m_max + 1)
+    ] + [(T.dim, T.m_max, T.weight_bound_sq)]
+
+
+def csv_variants(tmp_path, text):
+    """Paths of a canonical CSV text (CRLF, as saved), a row-shuffled copy
+    with LF line ends, and a copy with blank lines and mixed line ends."""
+    head, *rows = text.split("\r\n")[:-1]
+    shuffled = rows[:]
+    np.random.default_rng(3).shuffle(shuffled)
+    mixed = "".join(
+        row + ("\r\n" if i % 3 else "\n\n") for i, row in enumerate(shuffled)
+    )
+    paths = []
+    for name, body in [
+        ("canonical", text),
+        ("shuffled", "\n".join([head] + shuffled) + "\n"),
+        ("blank_crlf", head + "\r\n\r\n" + mixed),
+    ]:
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_bytes(body.encode())
+    return paths
+
+
+def test_csv_any_row_order_reads_the_same_table(tmp_path, monkeypatch):
+    """A canonical file, a row-shuffled copy and a copy with blank lines and
+    mixed line ends read to identical tables, and so does the per-field
+    parser on each; only the files out of order reach the sort."""
+    rows = [
+        (m, a, b, 4 * m + (7 * a + 3 * b) % 4)
+        for m in range(1, 9) for a in range(-m, m + 1) for b in (-1, 0, 1)
+    ]
+    text = "m,a1,a2,dim\r\n" + "".join("%d,%d,%d,%d\r\n" % row for row in rows)
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    variants = csv_variants(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        digests = [table_digest(wr.load_weight_table(p)) for p in variants]
+    assert sorts == [1, 1]  # the shuffled files, not the canonical one
+    monkeypatch.setattr(wr, "_fast_rows", lambda path, dim: None)
+    digests += [table_digest(wr.load_weight_table(p)) for p in variants]
+    assert all(d == digests[0] for d in digests)
+    for m, (alphas, dims, count, moment) in enumerate(digests[0][:-1], start=1):
+        mine = [r for r in rows if r[0] == m]
+        assert alphas == np.array([r[1:3] for r in mine], dtype=np.int64).tobytes()
+        assert dims == np.array([r[3] for r in mine], dtype=np.int64).tobytes()
+        assert count == sum(r[3] for r in mine)
+        assert moment == tuple(sum(r[i] * r[3] for r in mine) for i in (1, 2))
+    assert digests[0][-1] == (2, 8, Fraction(2))
+
+
+def test_csv_load_peak_is_a_small_multiple_of_the_table(tmp_path):
+    """Loading a saved toric table (triangle_dual at depth 48, 58,848 rows)
+    traces a peak below twice the loaded arrays' bytes: the rows are never
+    held twice.  Reading all columns at once and sorting peaked at 3.1x."""
+    import tracemalloc
+
+    T = wr.weight_table_toric(corpus.load_corpus("triangle_dual"), 48)
+    path = tmp_path / "t.csv"
+    wr.save_weight_table(T, path)
+    tracemalloc.start()
+    try:
+        T2 = wr.load_weight_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(T2.alphas(m).nbytes + T2.dims(m).nbytes for m in range(1, 49))
+    assert nbytes == 58848 * 3 * 8
+    assert peak < 2 * nbytes, peak / nbytes
 
 
 def test_csv_blank_lines_and_order_insensitive(tmp_path):
