@@ -341,9 +341,10 @@ def cmd_dh(path: str, xi_text: str, m: int, bins, output) -> None:
         hi = float(sample.lambdas.max())
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
-        masses, edges = np.histogram(
-            sample.lambdas, bins=bins, range=(lo, hi), weights=sample.masses
-        )
+        with _contract(f"--bins {bins}", "dh", P, xi):
+            masses, edges = np.histogram(
+                sample.lambdas, bins=bins, range=(lo, hi), weights=sample.masses
+            )
         body["histogram"] = {"edges": edges, "masses": masses}
     _emit("dh", path, {"xi": xi_text, "m": m, "bins": bins}, t0, body, output)
 

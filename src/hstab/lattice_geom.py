@@ -26,8 +26,10 @@ vector, largest squared norm) without ever building a point.
 ``lattice_stats`` reads those statistics of a lattice polytope from its
 Ehrhart polynomials (Brion & Vergne, JAMS 10, 1997): the count and each
 moment coordinate are integer-valued polynomials in m of degrees n and
-n + 1, interpolated once per polytope from the row sums at m = 1..n + 1
-and the known values at m = 0, so each degree costs O(1).  A polytope
+n + 1, interpolated once per polytope from the known values at m = 0 and
+the row sums at m = 1..n + 1, or on a reflexive polytope at m =
+1..ceil(n/2) with their reciprocity reflections at negative m, so each
+degree costs O(1).  A polytope
 with a rational vertex has quasi-polynomials instead and is summed over
 its rows at every m.  A degree is a Python or numpy integer, never a bool
 (``_is_integer``).  The lattice-enumeration functions are the only ones
@@ -775,20 +777,35 @@ def _ehrhart_nodes(P: LatticePolytope):
 
     N_m = |mP /\\ Z^n| has degree n in m and each coordinate of the moment
     sum_{alpha in mP} alpha degree n + 1, so both are fixed by their values
-    at the K = n + 2 nodes j = 0..n + 1: count 1 and moment 0 at j = 0, and
-    the row sums at j >= 1.  Each node value is stored times its integer
-    Lagrange weight (K-1)! / prod_{i != j} (j - i) = (-1)^(K-1-j) C(K-1, j).
-    Also returns max_v |v|^2, which |alpha|^2 reaches on mP at m v."""
+    at K = n + 2 consecutive nodes s..s + K - 1: count 1 and moment 0 at
+    m = 0, and the row sums at m >= 1.  On a reflexive P the interior
+    points of jP are those of (j - 1)P, so Ehrhart-Macdonald reciprocity
+    gives L(-j) = (-1)^n L(j - 1) and M(-j) = (-1)^(n+1) M(j - 1): with
+    a = ceil(n/2) the row sums at m = 1..a fix the nodes -(a + 1)..n - a.
+    Any other lattice polytope takes the nodes 0..n + 1.  Each node value
+    is stored times its integer Lagrange weight (K-1)! / prod_{i != j}
+    (j - i) = (-1)^(K-1-j) C(K-1, j), j = 0..K - 1 the node's place, and
+    returned with s and max_v |v|^2, which |alpha|^2 reaches on mP at m v."""
     if not P.is_lattice():
         return None
-    k = P.dim + 2
+    n, k = P.dim, P.dim + 2
+    a = -(-n // 2)  # ceil(n/2)
+    # the first node, and the deepest degree whose rows are summed
+    start, top = (-(a + 1), a) if is_reflexive(P) else (0, n + 1)
+    rows = [(1, (0,) * n)] + [_row_stats(P, j)[:2] for j in range(1, top + 1)]
     weighted = []
     for j in range(k):
-        count, moment = _row_stats(P, j)[:2] if j else (1, (0,) * P.dim)
+        m = start + j
+        if m >= 0:
+            count, moment = rows[m]
+        else:  # reflected
+            count, moment = rows[-m - 1]
+            sign = (-1) ** n
+            count, moment = sign * count, tuple(-sign * c for c in moment)
         w = (-1) ** (k - 1 - j) * math.comb(k - 1, j)
         weighted.append((w * count, tuple(w * c for c in moment)))
     peak = max(sum(int(c) ** 2 for c in v) for v in P.vertices)
-    return tuple(weighted), peak
+    return tuple(weighted), start, peak
 
 
 def _exact_quotient(num: int, den: int) -> int:
@@ -807,9 +824,10 @@ def lattice_stats(P: LatticePolytope, m: int = 1) -> LatticeStats:
 
     On a lattice polytope the count and the moment are evaluated from
     their Ehrhart polynomials (``_ehrhart_nodes``), so a degree costs O(1)
-    once the row sums at m = 1..n + 1 are known, and the largest squared
-    norm is m^2 max_v |v|^2.  A polytope with a rational vertex has
-    Ehrhart quasi-polynomials instead, and is summed over its rows.
+    once the row sums at m = 1..ceil(n/2) (reflexive P) or m = 1..n + 1
+    are known, and the largest squared norm is m^2 max_v |v|^2.  A
+    polytope with a rational vertex has Ehrhart quasi-polynomials instead,
+    and is summed over its rows.
     """
     if not _is_integer(m) or m < 1:
         raise ValueError(f"dilation factor must be a positive integer, got {m!r}")
@@ -817,10 +835,10 @@ def lattice_stats(P: LatticePolytope, m: int = 1) -> LatticeStats:
     nodes = _ehrhart_nodes(P)
     if nodes is None:
         return _row_stats(P, m)
-    weighted, peak = nodes
+    weighted, start, peak = nodes
     k = len(weighted)
     den = math.factorial(k - 1)
-    basis = [math.prod(m - i for i in range(k) if i != j) for j in range(k)]
+    basis = [math.prod(m - start - i for i in range(k) if i != j) for j in range(k)]
     count = sum(b * c for b, (c, _) in zip(basis, weighted))
     moment = [
         sum(b * mom[i] for b, (_, mom) in zip(basis, weighted))

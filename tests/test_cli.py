@@ -285,6 +285,21 @@ def test_memory_error_exits_1_on_one_line(runner, tmp_path, monkeypatch, target,
     assert res.stderr == f"error: {line}\n"
 
 
+def test_dh_histogram_memory_error_exits_1_on_one_line(runner, monkeypatch):
+    """A --bins too large for memory fails in np.histogram, which runs under
+    the contract: one error line naming --bins, exit 1.  The histogram is
+    monkeypatched to raise; nothing large is allocated."""
+    monkeypatch.setattr(np, "histogram", _raise_memory_error)
+    res = runner.invoke(
+        main, ["dh", path_of("square"), "--xi", "1,0", "--m", "2", "--bins", "1000000000"]
+    )
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr == (
+        "error: dh: --bins 1000000000: out of memory "
+        "(MemoryError: Unable to allocate 8.00 GiB for an array)\n"
+    )
+
+
 def test_contract_names_a_bare_memory_error(capsys):
     with pytest.raises(SystemExit) as err:
         with cli._contract("--oracle 12", "invariants"):

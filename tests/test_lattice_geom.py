@@ -716,6 +716,34 @@ def test_ehrhart_stats_match_row_sums_on_a_translate(polytopes):
     assert_polynomial_stats_match_rows(lg.translate(polytopes["cube"], (1, 1, 1)), 10)
 
 
+def larger_product(polytopes, a, b):
+    factors = {**polytopes, "octahedron": lg.build_polytope(OCTAHEDRON)}
+    return lg.build_polytope(product_points(factors[a], factors[b]))
+
+
+@pytest.mark.parametrize("a,b", [("cube", "hexagon"), ("octahedron", "square"), ("cube", "cube")])
+def test_ehrhart_stats_match_row_sums_in_dims_5_and_6(polytopes, a, b):
+    """On these reflexive products the polynomials come from the row sums
+    at m = 1..3 and the reciprocity nodes at m = -4..-1, which the row
+    sums check at m = 1..4."""
+    P = larger_product(polytopes, a, b)
+    assert P.dim in (5, 6) and lg.is_reflexive(P)
+    assert_polynomial_stats_match_rows(P, 4)
+
+
+def test_reflexive_ehrhart_nodes_read_rows_up_to_half_the_dimension(monkeypatch, polytopes):
+    """cube x cube is 6-D: its first statistic reads the rows of mP at
+    m = 1..3 and never those of 4P..7P."""
+    rows = []
+    lattice_rows = lg._lattice_rows
+    monkeypatch.setattr(
+        lg, "_lattice_rows", lambda P, m: rows.append(m) or lattice_rows(P, m)
+    )
+    P = larger_product(polytopes, "cube", "cube")
+    assert lg.lattice_stats(P, 9).count == 19**6
+    assert sorted(rows) == [1, 2, 3]
+
+
 def monomial_coefficients(values):
     """Coefficients, lowest degree first, of the polynomial of degree
     len(values) - 1 that takes the given values at m = 0, 1, 2, ..., as

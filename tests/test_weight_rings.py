@@ -8,6 +8,7 @@ the interval's DH limit.
 """
 
 import csv
+import importlib.util
 import math
 import os
 import re
@@ -99,10 +100,11 @@ def test_toric_table_enumerates_only_for_atoms(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["interval", "hexagon", "cube"])
-def test_toric_statistics_take_at_most_n_plus_one_row_passes(monkeypatch, name):
+def test_toric_statistics_take_row_passes_at_half_the_degrees(monkeypatch, name):
     """Every degree's count and moment comes from the Ehrhart polynomials,
-    interpolated from the row sums at m = 1..n + 1: the whole table's
-    statistics read the lattice rows n + 1 times, once per node."""
+    interpolated on a reflexive P from the row sums at m = 1..ceil(n/2)
+    and their reflections: the whole table's statistics read the lattice
+    rows once at each of those degrees."""
     rows = []
     lattice_rows = lg._lattice_rows
     monkeypatch.setattr(
@@ -116,7 +118,7 @@ def test_toric_statistics_take_at_most_n_plus_one_row_passes(monkeypatch, name):
     wr.fit_b0_b1(T, xi)
     wr.weight_character(T, xi, 0.3, 128)
     wr.laurent_fit(T, xi)
-    assert sorted(rows) == list(range(1, P.dim + 2))
+    assert sorted(rows) == list(range(1, -(-P.dim // 2) + 1))
 
 
 def test_c0_estimate_is_inf_when_a_degree_overflows():
@@ -624,6 +626,128 @@ def test_blocked_fsum_matches_fsum_of_the_concatenation():
             blocks = np.split(arr, cuts)
             got = fsum_outcome(lambda b: wr._fsum_blocks(lambda: iter(b)), blocks)
             assert got == fsum_outcome(wr._fsum, arr), (arr, cuts)
+
+
+@pytest.fixture
+def bincount_calls(monkeypatch):
+    """The np.bincount calls made while a test runs.  Only the
+    per-exponent route of _exact_block_sum makes them, so none means every
+    block was summed by extraction."""
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    return calls
+
+
+def extraction_limit(n):
+    """The widest binade span the extraction route takes on n terms."""
+    return 105 - 3 * (n + 2).bit_length()
+
+
+def spanning_block(rng, n, span):
+    """n positive terms with random 53-bit mantissas whose frexp exponents
+    run from 1 - span to 1: the max just under 2, the min in the binade
+    [2^-span, 2^(1-span)), and a tenth of the terms at the max, so the
+    level sums come near their bound."""
+    x = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(1 - span, 2, n))
+    x[: n // 10] = math.nextafter(2.0, 0.0)
+    x[-1] = math.ldexp(rng.uniform(0.5, 1.0), 1 - span)
+    x[0] = math.nextafter(2.0, 0.0)
+    return x
+
+
+def assert_fsum_bits(x):
+    assert wr._fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+@pytest.mark.parametrize("n", [1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**17])
+def test_extraction_matches_fsum_around_the_guard_steps(bincount_calls, n):
+    """Block sizes on both sides of where the guard g = bit_length(n + 2)
+    grows, at the narrowest and the widest span the route takes."""
+    rng = np.random.default_rng(n)
+    for span in (0, extraction_limit(n)) if n > 1 else (0,):
+        assert_fsum_bits(spanning_block(rng, n, span))
+    assert bincount_calls == []
+
+
+@pytest.mark.parametrize("n", [1000, 2**16])
+def test_extraction_takes_spans_up_to_three_levels(bincount_calls, n):
+    """Every span from 0 binades to the three-level limit (54 binades on
+    2^16 terms) is extracted; one binade more falls back.  Both give
+    math.fsum's bits."""
+    rng = np.random.default_rng(n + 1)
+    limit = extraction_limit(n)
+    for span in range(limit + 2):
+        bincount_calls.clear()
+        assert_fsum_bits(spanning_block(rng, n, span))
+        assert (bincount_calls == []) == (span <= limit), span
+
+
+def test_extraction_rounds_half_ulp_ties_exactly(bincount_calls):
+    """Runs of terms exactly halfway between two points of the first or
+    the second level's grid, so that every q is a round-half-even tie, and
+    totals that are themselves a half-ulp tie of the result."""
+    rng = np.random.default_rng(61)
+    n = 4096
+    guard = (n + 2).bit_length()
+    k1 = 1 + guard  # sigma's exponent at level 1, the max being just under 2
+    for k in (k1, k1 - (53 - guard)):
+        odd = 2 * rng.integers(2 ** (50 - guard), 2 ** (51 - guard), n - 1) + 1
+        ties = np.ldexp(odd.astype(float), k - 53)
+        sigma = 2.0**k
+        assert (np.abs((ties + sigma) - sigma - ties) == 2.0 ** (k - 53)).all()
+        assert_fsum_bits(np.append(ties, math.nextafter(2.0, 0.0)))
+    for head in (1.0, 1.0 + 2.0**-52, 1.5, 1.75):
+        for run in (1, 2, 3, 1023):
+            assert_fsum_bits(np.array([head] + [2.0**-53] * run + [2.0**-54] * run))
+            assert_fsum_bits(np.array([2.0**-53] * run + [head]))
+    assert bincount_calls == []
+
+
+def test_terms_near_the_ends_of_the_double_range_fall_back(bincount_calls):
+    """Terms next to 2^1000 or 2^-1000 lie outside the extraction window
+    [2^-960, 2^960) and go per exponent; just inside the window they are
+    extracted.  Both give math.fsum's bits."""
+    up, down = (lambda x: math.nextafter(x, math.inf)), (lambda x: math.nextafter(x, 0.0))
+    for edge in (2.0**1000, 2.0**-1000):
+        for terms in ([edge], [down(edge), edge, up(edge)], [1.5 * edge] * 7, [edge, 3 * edge]):
+            bincount_calls.clear()
+            assert_fsum_bits(np.array(terms))
+            assert bincount_calls, terms
+    for outside in ([down(2.0**-960)], [2.0**960], [1.0, 2.0**960]):
+        bincount_calls.clear()
+        assert_fsum_bits(np.array(outside))
+        assert bincount_calls, outside
+    for inside in ([2.0**-960], [down(2.0**960)] * 3, [2.0**-960, 1.5 * 2.0**-960]):
+        bincount_calls.clear()
+        assert_fsum_bits(np.array(inside))
+        assert bincount_calls == [], inside
+
+
+def perfbench_gen():
+    """``perfbench/gen``, the benchmark's direction pool."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_bench_c0_sums_are_extracted_but_at_large_directions(bincount_calls):
+    """On the cube at degree 32 the benchmark's tiny, unit and edge pool
+    directions give terms within a few binades, so every block is
+    extracted; a large direction spans hundreds of binades and falls
+    back."""
+    gen = perfbench_gen()
+    P = corpus.load_corpus("cube")
+    T = wr.weight_table_toric(P, 32)
+    edges = gen.edge_vectors(P.vertices, P.facets)
+    for regime in ("tiny", "unit", "edge"):
+        for i in range(gen.POOL):
+            wr.c0_bruteforce(T, gen.direction("cube", regime, i, edges), 32)
+    assert bincount_calls == []
+    wr.c0_bruteforce(T, gen.direction("cube", "large", 0, edges), 32)
+    assert len(bincount_calls) >= 1
 
 
 def test_c0_bruteforce_converges_to_exact():
