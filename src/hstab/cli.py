@@ -5,7 +5,7 @@ CSV) inputs:
 
     check       validate a polytope file and print its basic geometry
     invariants  H / DF / Jensen report for one direction
-    optimize    maximize H and report the stability verdict
+    optimize    maximize H and report the exact stability verdict
     dh          Duistermaat-Heckman sample at one degree
     character   weight-character samples and Laurent-coefficient fit
 
@@ -20,7 +20,9 @@ the MemoryError), 2 parse or invalid parameters, 3 not reflexive, 4
 unbounded direction (q = (n+1)/n * barycenter is not interior to P;
 ``direction`` is a facet witness), 5 non-convergence.  Codes 1-3 for library
 errors are chosen by ``_contract`` alone, 4 and 5 by the optimizer status
-alone; any other exception propagates, so a traceback means a bug.
+alone; any other exception propagates, so a traceback means a bug.  4 and 5
+mean the witness search failed: the exact verdict (stable iff the barycenter
+is 0) is printed at every status, ``mu_supremum`` only for a converged run.
 
 ``check`` and ``invariants`` run without numpy: ``weight_rings``,
 ``optimal_degeneration`` and numpy are imported inside the subcommands
@@ -278,16 +280,14 @@ def cmd_optimize(path: str, tol: float, max_iter: int, trace: bool, output) -> N
     P = _load_polytope(path)
     with _contract(None, "optimize", P):
         result = od.maximize_h(P, tol=tol, max_iter=max_iter, keep_trace=trace)
-        if result.converged:
-            verdict = od.h_stability_verdict(P, result)
-            mu = od.mu_supremum(P, result)
+        verdict = od.h_stability_verdict(P, result)
     body = {"polytope_name": P.name, "dim": P.dim, **dataclasses.asdict(result)}
     steps = body.pop("trace")
     if result.direction is None:
         del body["direction"]
     if result.converged:
-        body["mu_supremum"] = mu
-        body["verdict"] = dataclasses.asdict(verdict)
+        body["mu_supremum"] = od.mu_supremum(P, result)
+    body["verdict"] = dataclasses.asdict(verdict)
     if trace and steps is not None:
         body["trace"] = steps
     params = {"tol": tol, "max_iter": max_iter, "trace": trace}

@@ -65,7 +65,7 @@ class TruncationTooCoarse(HstabError):
 
 
 class Inconclusive(HstabError):
-    """Optimizer did not converge, so no stability verdict can be issued.
+    """Optimizer did not converge, so the mu supremum is undefined.
 
     ``status`` carries the optimizer's terminal status string.
     """

@@ -116,14 +116,14 @@ class ShiftCheck:
 def hamiltonian_shift_check(P, xi, u) -> ShiftCheck:
     """Evaluate H and DF on P and on the translate P+u with the ungated
     formulas; for reflexive P both must agree (the boundary identity
-    sigma(dP) = n vol(P) makes the shift terms cancel)."""
+    sigma(dP) = n vol(P) makes the shift terms cancel, so the two DF
+    values are equal as Fractions)."""
     require_reflexive(P)
     shifted = lg.translate(P, u)
     delta = abs(h_raw(shifted, xi) - h_raw(P, xi))
-    df_delta = abs(float(df_raw(shifted, xi) - df_raw(P, xi)))
-    return ShiftCheck(
-        delta=delta, df_delta=df_delta, ok=bool(delta < 1e-9 and df_delta < 1e-12)
-    )
+    df_shifted, df = df_raw(shifted, xi), df_raw(P, xi)
+    ok = bool(delta < 1e-9 and df_shifted == df)
+    return ShiftCheck(delta=delta, df_delta=abs(float(df_shifted - df)), ok=ok)
 
 
 @dataclass(frozen=True)

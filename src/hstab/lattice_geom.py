@@ -575,6 +575,12 @@ def boundary_moment_vector(P: LatticePolytope) -> tuple:
     return _default_triangulation(P)[3]
 
 
+@_memoized
+def max_vertex_norm_sq(P: LatticePolytope) -> Fraction:
+    """max_v |v|^2 over the vertices of P, exact."""
+    return max(sum((c * c for c in v), Fraction(0)) for v in P.vertices)
+
+
 def barycenter(P: LatticePolytope) -> tuple:
     v = volume(P)
     return tuple(m / v for m in moment_vector(P))
@@ -785,7 +791,7 @@ def _ehrhart_nodes(P: LatticePolytope):
     Any other lattice polytope takes the nodes 0..n + 1.  Each node value
     is stored times its integer Lagrange weight (K-1)! / prod_{i != j}
     (j - i) = (-1)^(K-1-j) C(K-1, j), j = 0..K - 1 the node's place, and
-    returned with s and max_v |v|^2, which |alpha|^2 reaches on mP at m v."""
+    returned with s."""
     if not P.is_lattice():
         return None
     n, k = P.dim, P.dim + 2
@@ -804,8 +810,7 @@ def _ehrhart_nodes(P: LatticePolytope):
             count, moment = sign * count, tuple(-sign * c for c in moment)
         w = (-1) ** (k - 1 - j) * math.comb(k - 1, j)
         weighted.append((w * count, tuple(w * c for c in moment)))
-    peak = max(sum(int(c) ** 2 for c in v) for v in P.vertices)
-    return tuple(weighted), start, peak
+    return tuple(weighted), start
 
 
 def _exact_quotient(num: int, den: int) -> int:
@@ -825,9 +830,9 @@ def lattice_stats(P: LatticePolytope, m: int = 1) -> LatticeStats:
     On a lattice polytope the count and the moment are evaluated from
     their Ehrhart polynomials (``_ehrhart_nodes``), so a degree costs O(1)
     once the row sums at m = 1..ceil(n/2) (reflexive P) or m = 1..n + 1
-    are known, and the largest squared norm is m^2 max_v |v|^2.  A
-    polytope with a rational vertex has Ehrhart quasi-polynomials instead,
-    and is summed over its rows.
+    are known, and the largest squared norm is m^2 max_v |v|^2, which
+    |alpha|^2 reaches on mP at m v.  A polytope with a rational vertex has
+    Ehrhart quasi-polynomials instead, and is summed over its rows.
     """
     if not _is_integer(m) or m < 1:
         raise ValueError(f"dilation factor must be a positive integer, got {m!r}")
@@ -835,7 +840,7 @@ def lattice_stats(P: LatticePolytope, m: int = 1) -> LatticeStats:
     nodes = _ehrhart_nodes(P)
     if nodes is None:
         return _row_stats(P, m)
-    weighted, start, peak = nodes
+    weighted, start = nodes
     k = len(weighted)
     den = math.factorial(k - 1)
     basis = [math.prod(m - start - i for i in range(k) if i != j) for j in range(k)]
@@ -847,7 +852,7 @@ def lattice_stats(P: LatticePolytope, m: int = 1) -> LatticeStats:
     return LatticeStats(
         count=_exact_quotient(count, den),
         moment=tuple(_exact_quotient(c, den) for c in moment),
-        max_norm_sq=m * m * peak,
+        max_norm_sq=m * m * int(max_vertex_norm_sq(P)),
     )
 
 

@@ -209,26 +209,18 @@ def maximize_h(
     )
 
 
-def _converged(
-    P, result: Optional[OptimizationResult], missing: str
-) -> OptimizationResult:
-    """``result``, or a fresh ``maximize_h(P)`` when it is None; raises
-    Inconclusive, saying what is ``missing``, unless the run converged."""
+def mu_supremum(P, result: Optional[OptimizationResult] = None) -> float:
+    """sup of the mu-functional over product degenerations:
+    n V - sup H.  ``result`` defaults to a fresh ``maximize_h(P)``;
+    raises Inconclusive unless the run converged."""
     require_reflexive(P)
     if result is None:
         result = maximize_h(P)
     if not result.converged:
         raise Inconclusive(
-            f"optimizer terminated with status {result.status}; {missing}",
+            f"optimizer terminated with status {result.status}; mu supremum undefined",
             status=result.status,
         )
-    return result
-
-
-def mu_supremum(P, result: Optional[OptimizationResult] = None) -> float:
-    """sup of the mu-functional over product degenerations:
-    n V - sup H.  Requires a converged maximization."""
-    result = _converged(P, result, "mu supremum undefined")
     return P.dim * float(lg.normalized_volume(P)) - result.h_star
 
 
@@ -251,12 +243,16 @@ _QUALIFIER = "searched torus-product degenerations only"
 def h_stability_verdict(
     P, result: Optional[OptimizationResult] = None
 ) -> StabilityVerdict:
-    """Stable when the maximizer is the trivial degeneration (xi* = 0 with
-    negative-definite Hessian, hence H < 0 away from 0 by strict
-    concavity); otherwise unstable with the maximizer as witness."""
-    result = _converged(P, result, "no stability verdict")
-    at_origin = float(np.linalg.norm(result.xi_star)) < 1e-8
-    stable = at_origin and result.hessian_max_eigenvalue < 0
+    """Stable iff the barycenter is 0, exactly: at xi = 0 the Gibbs mean is
+    the barycenter, so grad H(0) = V bary - V q = -V bary / n, and H(0) = 0
+    with H strictly concave.  The witness fields are the final state of
+    ``result`` (default a fresh ``maximize_h(P)``) at any status, with
+    h_at_witness > 0 once the ascent took a step; an unbounded run's facet
+    witness is its ``direction``."""
+    require_reflexive(P)
+    if result is None:
+        result = maximize_h(P)
+    stable = all(b == 0 for b in lg.barycenter(P))
     label = "Hstable_wrt_product_degenerations" if stable else "Hunstable"
     return StabilityVerdict(
         stable=stable,

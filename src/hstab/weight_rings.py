@@ -54,10 +54,6 @@ def _is_float_like(xi) -> bool:
     return any(isinstance(c, (float, np.floating)) for c in lg._direction_entries(xi))
 
 
-def _max_vertex_norm_sq(P) -> Fraction:
-    return max(sum((c * c for c in v), Fraction(0)) for v in P.vertices)
-
-
 class WeightTable:
     """Weight table of explicit rows, as read from CSV: integer weight rows
     with multiplicities, in canonical order (degree ascending, then alpha
@@ -210,7 +206,7 @@ class _ToricTable(WeightTable):
         self.dim = P.dim
         self.m_max = int(m_max)
         self.source = f"toric:{P.name or '<unnamed>'}"
-        self.weight_bound_sq = _max_vertex_norm_sq(P)
+        self.weight_bound_sq = lg.max_vertex_norm_sq(P)
         self._P = P
         self._stats = {}  # m -> (N_m, moment vector), filled on first use
 
@@ -717,8 +713,7 @@ def c0_exact(P, xi) -> float:
 def max_vertex_norm(P) -> float:
     """R_P = max Euclidean vertex norm (float, rounded up one ulp so the
     exact value never exceeds it)."""
-    worst = float(_max_vertex_norm_sq(P))
-    return math.nextafter(math.sqrt(worst), math.inf)
+    return math.nextafter(math.sqrt(float(lg.max_vertex_norm_sq(P))), math.inf)
 
 
 def c0_lipschitz_check(P, xi, xi2) -> LipschitzCheck:

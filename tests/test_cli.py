@@ -500,6 +500,36 @@ def test_optimize_unstable_blowup(runner):
     assert rep["verdict"]["qualifier"] == "searched torus-product degenerations only"
 
 
+def test_optimize_loose_tol_stops_at_origin_but_is_unstable(runner):
+    """--tol 1 stops blowup_one before any step (|grad H(0)| = 0.4714):
+    the run converges at xi = 0, yet its barycenter (1/12, 1/12) makes it
+    unstable."""
+    doc = run_json(runner, ["optimize", path_of("blowup_one"), "--tol", "1"])
+    rep = doc["report"]
+    assert rep["status"] == "converged" and rep["iterations"] == 0
+    assert rep["xi_star"] == ["0", "0"]
+    assert rep["verdict"]["stable"] is False
+    assert rep["verdict"]["label"] == "Hunstable"
+    assert float(rep["mu_supremum"]) == 16.0
+
+
+@pytest.mark.parametrize(
+    "name,max_iter,stable",
+    [("blowup_one", 0, False), ("blowup_one", 2, False), ("triangle", 0, True)],
+)
+def test_optimize_prints_verdict_at_exit_5(runner, name, max_iter, stable):
+    """A run cut short exits 5 with the exact verdict and no mu_supremum;
+    after a step its witness has H > 0."""
+    res = runner.invoke(main, ["optimize", path_of(name), "--max-iter", str(max_iter)])
+    assert res.exit_code == 5
+    rep = json.loads(res.output)["report"]
+    assert rep["status"] == "max_iterations" and rep["iterations"] == max_iter
+    assert "mu_supremum" not in rep
+    assert rep["verdict"]["stable"] is stable
+    assert rep["verdict"]["witness_xi"] == rep["xi_star"]
+    assert (float(rep["verdict"]["h_at_witness"]) > 0) == (max_iter > 0)
+
+
 def test_optimize_non_reflexive_exit_3(runner, tmp_path):
     res = runner.invoke(main, ["optimize", write_unit_square(tmp_path)])
     assert res.exit_code == 3
@@ -534,7 +564,11 @@ def test_optimize_exit_5_on_max_iterations(runner, monkeypatch):
     assert res.exit_code == 5
     rep = json.loads(res.output)["report"]
     assert rep["status"] == "max_iterations"
-    assert "verdict" not in rep and "mu_supremum" not in rep
+    assert "mu_supremum" not in rep
+    # the verdict is exact; the stalled run's last iterate is its witness
+    assert rep["verdict"]["label"] == "Hunstable"
+    assert rep["verdict"]["witness_xi"] == ["0", "0"]
+    assert float(rep["verdict"]["h_at_witness"]) == 0.017
 
 
 def test_optimize_exit_4_on_unbounded(runner, monkeypatch):
@@ -554,6 +588,9 @@ def test_optimize_exit_4_on_unbounded(runner, monkeypatch):
     rep = json.loads(res.output)["report"]
     assert rep["status"] == "unbounded_direction"
     assert len(rep["direction"]) == 2
+    assert "mu_supremum" not in rep
+    assert rep["verdict"]["label"] == "Hunstable"
+    assert rep["verdict"]["witness_xi"] == ["9", "9"]
 
 
 def test_optimize_exit_4_from_facet_certificate(runner, monkeypatch):
@@ -568,7 +605,9 @@ def test_optimize_exit_4_from_facet_certificate(runner, monkeypatch):
     assert rep["status"] == "unbounded_direction"
     assert rep["iterations"] == 0 and rep["trace"] == []
     assert [float(c) for c in rep["direction"]] == [-1 / math.sqrt(2)] * 2
-    assert "verdict" not in rep and "mu_supremum" not in rep
+    assert "mu_supremum" not in rep
+    assert rep["verdict"]["stable"] is False
+    assert rep["verdict"]["hessian_max_eigenvalue"] == "nan"
 
 
 def run_child(args):

@@ -166,6 +166,20 @@ def test_shift_sweep(polytopes):
             assert chk.ok, (name, xi, u, chk)
 
 
+def test_shift_check_compares_df_exactly(monkeypatch):
+    """The DF half compares Fractions: a difference of 1e-30, far below
+    any float tolerance, fails the check."""
+    P = corpus.load_corpus("triangle")
+    raw = inv.df_raw
+    monkeypatch.setattr(
+        inv,
+        "df_raw",
+        lambda Q, xi: raw(Q, xi) + (0 if Q is P else Fraction(1, 10**30)),
+    )
+    chk = inv.hamiltonian_shift_check(P, (0.3, -0.7), (1, 0))
+    assert not chk.ok and chk.delta < 1e-9 and chk.df_delta < 1e-12
+
+
 def test_shift_check_requires_reflexive():
     Q = lg.build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(NotReflexive):

@@ -691,6 +691,23 @@ def test_lattice_stats_exact_beyond_int64():
         lg.lattice_points(P, 10**9)
 
 
+def test_max_vertex_norm_sq_has_one_home(monkeypatch, polytopes):
+    """The largest squared vertex norm is exact, memoized, and the one
+    value the toric weight bound and the lattice statistics read."""
+    for name, P in polytopes.items():
+        worst = lg.max_vertex_norm_sq(P)
+        assert worst == max(sum(Fraction(c) ** 2 for c in v) for v in P.vertices)
+        assert lg.max_vertex_norm_sq(P) is worst, name
+        assert wr.weight_table_toric(P, 2).weight_bound_sq == worst, name
+        assert lg.lattice_stats(P, 3).max_norm_sq == 9 * worst, name
+        assert wr.max_vertex_norm(P) ** 2 >= worst, name
+    P = polytopes["hexagon"]
+    monkeypatch.setattr(lg, "max_vertex_norm_sq", lambda _: Fraction(7))
+    assert wr.weight_table_toric(P, 2).weight_bound_sq == 7
+    assert lg.lattice_stats(P, 2).max_norm_sq == 28
+    assert wr.max_vertex_norm(P) == math.nextafter(math.sqrt(7), math.inf)
+
+
 def assert_polynomial_stats_match_rows(P, top):
     for m in range(1, top + 1):
         assert lg.lattice_stats(P, m) == lg._row_stats(P, m), m

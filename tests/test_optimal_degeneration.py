@@ -548,8 +548,9 @@ def test_mu_requires_convergence():
     with pytest.raises(Inconclusive) as err:
         od.mu_supremum(P, fake)
     assert err.value.status == "max_iterations"
-    with pytest.raises(Inconclusive):
-        od.h_stability_verdict(P, fake)
+    # the verdict is exact data, so it needs no converged run
+    v = od.h_stability_verdict(P, fake)
+    assert v.stable and v.witness_xi == (0.0,) and v.h_at_witness == 0.0
 
 
 def test_verdict_labels(polytopes):
@@ -565,6 +566,26 @@ def test_verdict_labels(polytopes):
         assert v.h_at_witness > 0
         assert max(abs(c) for c in v.witness_xi) > 0.1
         assert "product degenerations" in v.description
+
+
+def test_verdict_is_barycenter_zero_on_corpus(polytopes):
+    for name, P in polytopes.items():
+        res = od.maximize_h(P)
+        v = od.h_stability_verdict(P, res)
+        assert v.stable == all(b == 0 for b in lg.barycenter(P)), name
+        assert v.stable == (name in corpus.BARYCENTER_ZERO), name
+        assert v.witness_xi == tuple(res.xi_star.tolist()), name
+        assert v.h_at_witness == res.h_star, name
+
+
+def test_verdict_reads_the_exact_barycenter(monkeypatch, polytopes):
+    """A barycenter of 1e-30 is unstable: no float threshold decides."""
+    P = polytopes["triangle"]
+    res = od.maximize_h(P)
+    tiny = (Fraction(1, 10**30), Fraction(0))
+    monkeypatch.setattr(lg, "barycenter", lambda _: tiny)
+    v = od.h_stability_verdict(P, res)
+    assert not v.stable and v.label == "Hunstable"
 
 
 def test_no_flat_directions_in_corpus(polytopes):
@@ -590,6 +611,22 @@ PRODUCTS = (
 def product(polytopes, a, b):
     pts = [u + w for u in polytopes[a].vertices for w in polytopes[b].vertices]
     return lg.build_polytope(pts, name=f"{a}x{b}")
+
+
+def test_verdict_is_barycenter_zero_on_products(polytopes):
+    """The five 4-D products, blowup_one x blowup_two cut at five Newton
+    iterations: a stalled run still gets the exact verdict, with its last
+    iterate, where H > 0, as the witness."""
+    for a, b in PRODUCTS:
+        P = product(polytopes, a, b)
+        stalled = (a, b) == ("blowup_one", "blowup_two")
+        res = od.maximize_h(P, max_iter=5) if stalled else od.maximize_h(P)
+        assert res.status == ("max_iterations" if stalled else "converged")
+        v = od.h_stability_verdict(P, res)
+        assert v.stable == all(c == 0 for c in lg.barycenter(P)), P.name
+        if stalled:
+            assert v.label == "Hunstable" and v.h_at_witness > 0
+            assert v.witness_xi == tuple(res.xi_star.tolist())
 
 
 def test_warm_polytope_takes_no_determinant(polytopes, monkeypatch):
