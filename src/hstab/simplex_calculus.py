@@ -214,6 +214,12 @@ def _series_block(nodes: Sequence[float]) -> float:
     return _safe_exp(mu) * total
 
 
+def _clustered(xs) -> float:
+    """exp[xs] of sorted nodes spanning at most 1e-4: one series, or exp
+    of a single node."""
+    return _series_block(xs) if len(xs) > 1 else _safe_exp(xs[0])
+
+
 def _divided_difference(xs: tuple, memo: dict) -> float:
     """exp[xs] for a nonempty sorted tuple of finite floats, top down:
     (exp[xs[1:]] - exp[xs[:-1]]) / (xs[-1] - xs[0]) while the span exceeds
@@ -227,7 +233,7 @@ def _divided_difference(xs: tuple, memo: dict) -> float:
             hi = _divided_difference(xs[1:], memo)
             val = (hi - _divided_difference(xs[:-1], memo)) / span
         else:
-            val = _series_block(xs) if len(xs) > 1 else _safe_exp(xs[0])
+            val = _clustered(xs)
         memo[xs] = val
     return val
 
@@ -235,19 +241,33 @@ def _divided_difference(xs: tuple, memo: dict) -> float:
 def exp_divided_difference(nodes) -> float:
     """Divided difference of exp over the given nodes (any multiplicity).
 
-    Nodes are sorted; sub-ranges spanning more than 1e-4 use the top-down
+    Nodes are sorted; sub-ranges spanning more than 1e-4 use the
     recursion, tighter ones the shifted series, so clustered and exactly
     repeated nodes are handled without cancellation, and a fully clustered
-    node set costs one series.  Each of the k(k+1)/2 sub-ranges of k nodes
-    is kept until the call returns, and the recursion is k calls deep:
-    meant for the few nodes of a simplex's moments, not for thousands.
+    node set costs one series.  The sub-ranges are evaluated bottom up by
+    length, with the arithmetic of ``_divided_difference`` and so its
+    bits, keeping only the ones of the length below: k nodes take O(k^2)
+    time, O(k) memory and no recursion.
     """
     xs = tuple(sorted(float(x) for x in nodes))
     if not xs:
         raise ValueError("at least one node is required")
     if any(not math.isfinite(x) for x in xs):
         raise ValueError("nodes must be finite")
-    return _divided_difference(xs, {})
+    k = len(xs)
+    # level[i] is exp[xs[i:i + r]]; a clustered window, None until a wider
+    # window first reads it, costs one series
+    level = [None] * k
+    for r in range(2, k + 1):
+        below, level = level, [None] * (k - r + 1)
+        for i in range(k - r + 1):
+            span = xs[i + r - 1] - xs[i]
+            if span > _SERIES_SPAN:
+                for j in (i, i + 1):
+                    if below[j] is None:
+                        below[j] = _clustered(xs[j : j + r - 1])
+                level[i] = (below[i + 1] - below[i]) / span
+    return _clustered(xs) if level[0] is None else level[0]
 
 
 def integral_exp_simplex(S: Simplex, a) -> float:

@@ -17,6 +17,7 @@ triangulation and the exponential simplex integrals.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -482,9 +483,9 @@ def total_weight(T: WeightTable, xi, m):
 # bits, so every finite double is an integer multiple of 2^_FSUM_UNIT
 _FSUM_LOW = -1073
 _FSUM_UNIT = _FSUM_LOW - 53
-# the extraction route takes a block only when its terms lie in
-# [1/_EXTRACT_RANGE, _EXTRACT_RANGE): its sigmas stay below 2^990 and every
-# term and residual digit is a normal double
+# the extraction routes take a block only when its max lies in
+# [1/_EXTRACT_RANGE, _EXTRACT_RANGE) and extract only terms in it: their
+# sigmas stay below 2^990 and every extracted digit is a normal double
 _EXTRACT_RANGE = 2.0**960
 
 
@@ -494,26 +495,38 @@ def _units(x: float) -> int:
     return num << (-_FSUM_UNIT - den.bit_length() + 1)
 
 
-def _exact_block_sum(terms: np.ndarray):
-    """The exact sum of one block of terms as a Python int in units of
-    2^_FSUM_UNIT, or None when a term is not finite or the block holds 2^26
+def _exact_block_sum(terms: np.ndarray, certify: bool = True):
+    """The sum of one block of terms as two Python ints in units of
+    2^_FSUM_UNIT, (part, slack), the exact sum lying in [part, part +
+    slack]; or None when a term is not finite or the block holds 2^26
     terms or more.
 
-    The block's own min and max choose the route.  A block of positive
-    terms in the window [2^-960, 2^960) whose binade span fits three levels
-    below is summed by error-free extraction (Rump, Ogita and Oishi,
-    *Accurate floating-point summation part I*, SIAM J. Sci. Comput. 31,
-    2008, ExtractVector) in a few streaming passes; any other block, with a
-    zero, a negative or a non-finite term, a wider span or a term outside
-    the window, is summed per exponent (``_binned_sum``).  Both give the
-    same exact total.
+    The block's own min and max choose one of three routes.  Let n be the
+    block's size, g = bit_length(n + 2), so that n < 2^g and g <= 27, and
+    t the frexp exponent of the max, and let cut = 2^(b-1) with b =
+    max(t - K, -959) and K = 158 - 4g (90 binades for 2^16 terms).
 
-    Extraction.  Let n be the block's size, g = bit_length(n + 2), so that
-    n < 2^g and g <= 27, and let every term x satisfy 2^(b-1) <= x < 2^t
-    (b and t the frexp exponents of the min and the max).  Every term is a
-    multiple of its ulp, so of 2^(b-53), the min's ulp.  Level j takes
-    sigma = 2^k with k = t + g - (j - 1)(53 - g) and terms bounded by
-    |x| <= 2^(k-g) (true at level 1), and forms q = (x + sigma) - sigma.
+    - Exact extraction: nonnegative terms, the max in the window
+      [2^-960, 2^960) and every term >= cut.  The block is summed by
+      error-free extraction (Rump, Ogita and Oishi, *Accurate
+      floating-point summation part I*, SIAM J. Sci. Comput. 31, 2008,
+      ExtractVector) in at most three levels of streaming passes and a
+      last plain sum; slack 0.
+    - Truncated extraction, only when ``certify``: as above but some terms
+      below the cut, zeros and subnormals included.  The terms >= cut are
+      copied out and extracted exactly, the others dropped, and since each
+      of those lies in [0, cut), the slack is their count times the cut.
+      ``_fsum_blocks`` checks that the slack cannot move its rounded sum.
+    - Per exponent (``_binned_sum``), every other block of finite terms:
+      a negative term, a max outside the window, or a term below the cut
+      when not ``certify``; exact, slack 0.
+
+    Extraction.  Every extracted term x satisfies 2^(b'-1) <= x < 2^t,
+    with b' >= b the min's frexp exponent (exact extraction) or b itself
+    (truncated), so x is a multiple of its ulp, so of 2^(b'-53); there are
+    at most n of them.  Level j takes sigma = 2^k with k = t + g - (j -
+    1)(53 - g) and terms bounded by |x| <= 2^(k-g) (true at level 1), and
+    forms q = (x + sigma) - sigma.
 
     1. q is exact and x - q is exact.  |x| <= 2^(k-g) <= sigma/2, so
        s = fl(x + sigma) lies in [sigma/2, 2 sigma] and s - sigma is exact
@@ -530,40 +543,46 @@ def _exact_block_sum(terms: np.ndarray):
        numpy groups them, and ``q.sum()`` is the exact sum of the q.
     3. The residual bound fixes the level count.  The residual x - q has
        size at most 2^(k-53) = 2^(k'-g) with k' = k - (53 - g), the next
-       level's bound, so the levels chain, and while k >= b each q is a
-       multiple of 2^(b-53), as every residual then is.  Let L be the first level
-       with k_L <= b - 1.  After the L - 1 extractions at k >= b, each
-       residual is a multiple of 2^(b-53) of size at most 2^(k_L-g), so
-       every partial sum of the residuals is below 2^(k_L) <= 2^(b-1): an
-       integer below 2^52 times 2^(b-53).  The residuals' own float sum is
-       then exact, and it ends the sum as level L.  L - 1 =
-       ceil((t - b + g + 1)/(53 - g)); the route takes L <= 3, a span
-       t - b of at most 105 - 3g binades (54 for 2^16 terms).  The window
-       keeps sigma <= 2^(960+27) and 2^(b-53) >= 2^-1012, clear of
+       level's bound, so the levels chain, and while k >= b' each q is a
+       multiple of 2^(b'-53), as every residual then is.  Let L be the
+       first level with k_L <= b' - 1.  After the L - 1 extractions at
+       k >= b', each residual is a multiple of 2^(b'-53) of size at most
+       2^(k_L-g), so every partial sum of the residuals is below 2^(k_L)
+       <= 2^(b'-1): an integer below 2^52 times 2^(b'-53).  The residuals'
+       own float sum is then exact, and it ends the sum as level L.  L - 1
+       = ceil((t - b' + g + 1)/(53 - g)), at most 3 as t - b' <= K.  The
+       window keeps sigma <= 2^(960+27) and 2^(b'-53) >= 2^-1012, clear of
        overflow and of the subnormals.  The level sums add up exactly as
        Python ints (``_units``)."""
     if terms.size >= 2**26:
         return None
     if not terms.size:
-        return 0
+        return 0, 0
     low, high = float(terms.min()), float(terms.max())  # nan if any term is
-    if 1 / _EXTRACT_RANGE <= low and high < _EXTRACT_RANGE:
+    if 0 <= low and 1 / _EXTRACT_RANGE <= high < _EXTRACT_RANGE:
         guard = (terms.size + 2).bit_length()
-        top, bottom = math.frexp(high)[1], math.frexp(low)[1]
-        extractions = -(-(top - bottom + guard + 1) // (53 - guard))
-        if extractions <= 2:
-            k, total, rest = top + guard, 0, terms
-            for _ in range(extractions):
-                sigma = math.ldexp(1.0, k)
-                q = rest + sigma
-                q -= sigma
-                total += _units(q.sum())
-                rest = np.subtract(rest, q, out=q)  # q is summed: reuse it
-                k -= 53 - guard
-            return total + _units(rest.sum())
-    elif not (math.isfinite(low) and math.isfinite(high)):
+        top = math.frexp(high)[1]
+        bottom = max(top - 158 + 4 * guard, -959)
+        cut = math.ldexp(1.0, bottom - 1)
+        if low >= cut:
+            rest, slack, bottom = terms, 0, math.frexp(low)[1]
+        elif certify:
+            rest = terms[terms >= cut]
+            slack = (terms.size - rest.size) << (bottom - 1 - _FSUM_UNIT)
+        else:
+            return _binned_sum(terms), 0
+        k, part = top + guard, 0
+        for _ in range(-(-(top - bottom + guard + 1) // (53 - guard))):
+            sigma = math.ldexp(1.0, k)
+            q = rest + sigma
+            q -= sigma
+            part += _units(q.sum())
+            rest = np.subtract(rest, q, out=q)  # q is summed: reuse it
+            k -= 53 - guard
+        return part + _units(rest.sum()), slack
+    if not (math.isfinite(low) and math.isfinite(high)):
         return None
-    return _binned_sum(terms)
+    return _binned_sum(terms), 0
 
 
 def _binned_sum(terms: np.ndarray) -> int:
@@ -594,27 +613,41 @@ def _fsum_blocks(blocks) -> float:
     """math.fsum over the terms of every array that ``blocks()`` yields,
     the correctly rounded sum of their concatenation, computed in integers.
 
-    The blocks' exact sums (``_exact_block_sum``) add up as one Python int
-    and one correctly rounded division ends it, so the result does not
-    depend on where the blocks are cut, nor on which of its two routes
-    each block takes, and its cost does not grow with the terms' dynamic
-    range, where math.fsum keeps ever more partials.  The positive,
-    narrow-range blocks of c0 and DH sums take the cheaper route, error-free
-    extraction.  Each block is dropped once summed.  Non-finite terms, a
-    block of 2^26 terms or more and a sum that overflows go to math.fsum
-    over a second pass of ``blocks()``, which then gives its own answer or
-    error.
+    The blocks' parts and slacks (``_exact_block_sum``) add up as two
+    Python ints, A and E, and one correctly rounded division ends the sum,
+    so the result does not depend on where the blocks are cut nor on which
+    route each block takes, and its cost does not grow with the terms'
+    dynamic range, where math.fsum keeps ever more partials.  The exact sum
+    S lies in [A, A + E] and rounding is monotone, so when A and A + E
+    round to the same double, S rounds to it too: that double is the
+    result.  When they straddle a rounding boundary, which a truncated
+    block's dropped terms could carry the sum across, a second pass of
+    ``blocks()`` sums every block exactly, slack 0, by extraction or per
+    exponent.  That is rare: on nonnegative terms a truncated block whose
+    max is at least 2^(K - 960), so that its cut is 2^(t-K-1), adds at
+    most n 2^(t-K-1), less than 2^(5g - 106) ulps of the result, to E
+    (2^-21 on blocks of 2^16 terms).  Each block is dropped once summed.  Non-finite
+    terms, a block of 2^26 terms or more and a sum that overflows go to
+    math.fsum over another pass of ``blocks()``, which then gives its own
+    answer or error.
     """
-    total = 0
-    for exact in map(_exact_block_sum, blocks()):
-        if exact is None:
-            break
-        total += exact
-    else:
-        try:
-            return total / (1 << -_FSUM_UNIT)
-        except OverflowError:
-            pass
+    for certify in (True, False):
+        total = slack = 0
+        for part in map(functools.partial(_exact_block_sum, certify=certify), blocks()):
+            if part is None:
+                break  # to math.fsum
+            total += part[0]
+            slack += part[1]
+        else:
+            try:
+                result = total / (1 << -_FSUM_UNIT)
+                if (total + slack) / (1 << -_FSUM_UNIT) == result:
+                    return result
+            except OverflowError:
+                if not slack:
+                    break  # the exact sum overflows: to math.fsum
+            continue  # A and A + E round apart: sum again, exactly
+        break
     return math.fsum(x for terms in blocks() for x in terms.tolist())
 
 

@@ -632,7 +632,7 @@ def test_blocked_fsum_matches_fsum_of_the_concatenation():
 def bincount_calls(monkeypatch):
     """The np.bincount calls made while a test runs.  Only the
     per-exponent route of _exact_block_sum makes them, so none means every
-    block was summed by extraction."""
+    block was summed by extraction, whole or truncated, and no sum reran."""
     calls = []
     bincount = np.bincount
     monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
@@ -640,8 +640,9 @@ def bincount_calls(monkeypatch):
 
 
 def extraction_limit(n):
-    """The widest binade span the extraction route takes on n terms."""
-    return 105 - 3 * (n + 2).bit_length()
+    """The widest binade span that three extraction levels take whole on
+    n terms: wider blocks are cut 2^-limit below a max just under 2."""
+    return 158 - 4 * (n + 2).bit_length()
 
 
 def spanning_block(rng, n, span):
@@ -672,15 +673,56 @@ def test_extraction_matches_fsum_around_the_guard_steps(bincount_calls, n):
 
 @pytest.mark.parametrize("n", [1000, 2**16])
 def test_extraction_takes_spans_up_to_three_levels(bincount_calls, n):
-    """Every span from 0 binades to the three-level limit (54 binades on
-    2^16 terms) is extracted; one binade more falls back.  Both give
-    math.fsum's bits."""
+    """Every span from 0 binades to the three-level limit (90 binades on
+    2^16 terms) is extracted whole, slack 0.  One binade more puts the
+    least terms below the cut: an exact pass falls back per exponent, and
+    a certified one drops them for a slack of their count times the cut,
+    which brackets the exact sum.  The sums give math.fsum's bits with no
+    fallback."""
     rng = np.random.default_rng(n + 1)
     limit = extraction_limit(n)
     for span in range(limit + 2):
+        x = spanning_block(rng, n, span)
         bincount_calls.clear()
-        assert_fsum_bits(spanning_block(rng, n, span))
-        assert (bincount_calls == []) == (span <= limit), span
+        assert_fsum_bits(x)
+        assert bincount_calls == [], span
+        exact, slack = wr._exact_block_sum(x, certify=False)
+        assert slack == 0 and (bincount_calls == []) == (span <= limit), span
+        part, slack = wr._exact_block_sum(x)
+        dropped = int(np.count_nonzero(x < 2.0**-limit))
+        assert (dropped > 0) == (span > limit), span
+        assert slack == dropped << (-limit - wr._FSUM_UNIT), span
+        assert part <= exact <= part + slack, span
+
+
+@pytest.mark.parametrize("n", [1, 1000, 2**16, 2**16 + 1, 2**17])
+def test_wide_nonnegative_blocks_match_fsum(bincount_calls, n):
+    """Blocks spanning 55 to 900 binades, with zeros and subnormals mixed
+    in, are summed by truncated extraction to math.fsum's bits, and their
+    slacks never straddle a rounding boundary here."""
+    rng = np.random.default_rng(n + 2)
+    for span in (55, 91, 159, 300, 600, 900):
+        x = spanning_block(rng, n, span)
+        picks = rng.integers(1, n, n // 64) if n > 1 else []
+        x[picks[::2]] = 0.0
+        x[picks[1::2]] = np.ldexp(rng.uniform(0.0, 1.0, len(picks[1::2])), -1022)
+        assert_fsum_bits(x)
+        assert_fsum_bits(x[::-1])
+    assert bincount_calls == []
+
+
+def test_a_straddling_slack_reruns_the_sum_exactly(bincount_calls):
+    """1 + 2^-53 is a tie that rounds to 1, while the term 2^-200, dropped
+    below the cut 2^-146 of three terms, carries the exact sum up to
+    1 + 2^-52: the part and the part plus slack round apart, and the rerun
+    sums the block exactly, per exponent."""
+    x = np.array([1.0, 2.0**-53, 2.0**-200])
+    part, slack = wr._exact_block_sum(x)
+    assert slack == 1 << (-146 - wr._FSUM_UNIT)
+    unit = 1 << -wr._FSUM_UNIT
+    assert (part / unit, (part + slack) / unit) == (1.0, 1.0 + 2.0**-52)
+    assert wr._fsum(x) == 1.0 + 2.0**-52
+    assert len(bincount_calls) == 2  # the rerun's two bincounts
 
 
 def test_extraction_rounds_half_ulp_ties_exactly(bincount_calls):
@@ -733,11 +775,11 @@ def perfbench_gen():
     return gen
 
 
-def test_bench_c0_sums_are_extracted_but_at_large_directions(bincount_calls):
+def test_bench_c0_sums_are_extracted_at_every_direction(bincount_calls):
     """On the cube at degree 32 the benchmark's tiny, unit and edge pool
     directions give terms within a few binades, so every block is
-    extracted; a large direction spans hundreds of binades and falls
-    back."""
+    extracted whole; a large direction spans hundreds of binades, so its
+    blocks are truncated, and the certificate holds without a rerun."""
     gen = perfbench_gen()
     P = corpus.load_corpus("cube")
     T = wr.weight_table_toric(P, 32)
@@ -746,8 +788,9 @@ def test_bench_c0_sums_are_extracted_but_at_large_directions(bincount_calls):
         for i in range(gen.POOL):
             wr.c0_bruteforce(T, gen.direction("cube", regime, i, edges), 32)
     assert bincount_calls == []
-    wr.c0_bruteforce(T, gen.direction("cube", "large", 0, edges), 32)
-    assert len(bincount_calls) >= 1
+    for i in range(gen.POOL):
+        wr.c0_bruteforce(T, gen.direction("cube", "large", i, edges), 32)
+    assert bincount_calls == []
 
 
 def test_c0_bruteforce_converges_to_exact():
