@@ -17,7 +17,6 @@ triangulation and the exponential simplex integrals.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -481,12 +480,7 @@ def total_weight(T: WeightTable, xi, m):
 
 # frexp's exponents of finite doubles are >= -1073 and mantissas carry 53
 # bits, so every finite double is an integer multiple of 2^_FSUM_UNIT
-_FSUM_LOW = -1073
-_FSUM_UNIT = _FSUM_LOW - 53
-# the extraction routes take a block only when its max lies in
-# [1/_EXTRACT_RANGE, _EXTRACT_RANGE) and extract only terms in it: their
-# sigmas stay below 2^990 and every extracted digit is a normal double
-_EXTRACT_RANGE = 2.0**960
+_FSUM_UNIT = -1073 - 53
 
 
 def _units(x: float) -> int:
@@ -495,34 +489,26 @@ def _units(x: float) -> int:
     return num << (-_FSUM_UNIT - den.bit_length() + 1)
 
 
-def _exact_block_sum(terms: np.ndarray, certify: bool = True):
+def _exact_block_sum(terms: np.ndarray):
     """The sum of one block of terms as two Python ints in units of
     2^_FSUM_UNIT, (part, slack), the exact sum lying in [part, part +
-    slack]; or None when a term is not finite or the block holds 2^26
-    terms or more.
+    slack]; or None, for math.fsum to take, when the block holds 2^26
+    terms or more, a term is negative or not finite, or the max lies
+    outside [2^-960, 2^960).
 
-    The block's own min and max choose one of three routes.  Let n be the
-    block's size, g = bit_length(n + 2), so that n < 2^g and g <= 27, and
-    t the frexp exponent of the max, and let cut = 2^(b-1) with b =
-    max(t - K, -959) and K = 158 - 4g (90 binades for 2^16 terms).
-
-    - Exact extraction: nonnegative terms, the max in the window
-      [2^-960, 2^960) and every term >= cut.  The block is summed by
-      error-free extraction (Rump, Ogita and Oishi, *Accurate
-      floating-point summation part I*, SIAM J. Sci. Comput. 31, 2008,
-      ExtractVector) in at most three levels of streaming passes and a
-      last plain sum; slack 0.
-    - Truncated extraction, only when ``certify``: as above but some terms
-      below the cut, zeros and subnormals included.  The terms >= cut are
-      copied out and extracted exactly, the others dropped, and since each
-      of those lies in [0, cut), the slack is their count times the cut.
-      ``_fsum_blocks`` checks that the slack cannot move its rounded sum.
-    - Per exponent (``_binned_sum``), every other block of finite terms:
-      a negative term, a max outside the window, or a term below the cut
-      when not ``certify``; exact, slack 0.
+    Let n be the block's size, g = bit_length(n + 2), so that n < 2^g and
+    g <= 27, t the frexp exponent of the max, and cut = 2^(b-1) with b =
+    max(t - K, -959) and K = 158 - 4g (90 binades for 2^16 terms).  The
+    terms >= cut are summed by error-free extraction (Rump, Ogita and
+    Oishi, *Accurate floating-point summation part I*, SIAM J. Sci.
+    Comput. 31, 2008, ExtractVector) in at most three levels of streaming
+    passes and a last plain sum.  The others, zeros and subnormals
+    included, are dropped: each lies in [0, cut), so the slack is their
+    count times the cut, 0 when every term is >= cut and the block is
+    extracted whole, with no copy.
 
     Extraction.  Every extracted term x satisfies 2^(b'-1) <= x < 2^t,
-    with b' >= b the min's frexp exponent (exact extraction) or b itself
+    with b' >= b the min's frexp exponent (whole block) or b itself
     (truncated), so x is a multiple of its ulp, so of 2^(b'-53); there are
     at most n of them.  Level j takes sigma = 2^k with k = t + g - (j -
     1)(53 - g) and terms bounded by |x| <= 2^(k-g) (true at level 1), and
@@ -554,59 +540,31 @@ def _exact_block_sum(terms: np.ndarray, certify: bool = True):
        window keeps sigma <= 2^(960+27) and 2^(b'-53) >= 2^-1012, clear of
        overflow and of the subnormals.  The level sums add up exactly as
        Python ints (``_units``)."""
-    if terms.size >= 2**26:
-        return None
     if not terms.size:
         return 0, 0
-    low, high = float(terms.min()), float(terms.max())  # nan if any term is
-    if 0 <= low and 1 / _EXTRACT_RANGE <= high < _EXTRACT_RANGE:
-        guard = (terms.size + 2).bit_length()
-        top = math.frexp(high)[1]
-        bottom = max(top - 158 + 4 * guard, -959)
-        cut = math.ldexp(1.0, bottom - 1)
-        if low >= cut:
-            rest, slack, bottom = terms, 0, math.frexp(low)[1]
-        elif certify:
-            rest = terms[terms >= cut]
-            slack = (terms.size - rest.size) << (bottom - 1 - _FSUM_UNIT)
-        else:
-            return _binned_sum(terms), 0
-        k, part = top + guard, 0
-        for _ in range(-(-(top - bottom + guard + 1) // (53 - guard))):
-            sigma = math.ldexp(1.0, k)
-            q = rest + sigma
-            q -= sigma
-            part += _units(q.sum())
-            rest = np.subtract(rest, q, out=q)  # q is summed: reuse it
-            k -= 53 - guard
-        return part + _units(rest.sum()), slack
-    if not (math.isfinite(low) and math.isfinite(high)):
+    if terms.size >= 2**26:
         return None
-    return _binned_sum(terms), 0
-
-
-def _binned_sum(terms: np.ndarray) -> int:
-    """``_exact_block_sum`` of a block of finite terms, per exponent.
-
-    A finite double is a 53-bit integer mantissa times a power of two.
-    Split into 27- and 26-bit halves, the mantissas add up exactly per
-    exponent in float64 bincounts (every partial sum is an integer below
-    2^53 while there are fewer than 2^26 terms), and the per-exponent sums
-    add up exactly as Python ints."""
-    mant, exps = np.frexp(terms)
-    exps = exps.astype(np.intp) - _FSUM_LOW
-    mant *= 2.0**27
-    high = np.floor(mant)
-    mant -= high
-    mant *= 2.0**26  # the low 26 bits, as an integer
-    high_sums = np.bincount(exps, weights=high)
-    low_sums = np.bincount(exps, weights=mant)
-    total = 0
-    for e in np.flatnonzero(high_sums).tolist():
-        total += int(high_sums[e]) << (e + 26)
-    for e in np.flatnonzero(low_sums).tolist():
-        total += int(low_sums[e]) << e
-    return total
+    low, high = float(terms.min()), float(terms.max())  # nan if any term is
+    if not (0 <= low and 2.0**-960 <= high < 2.0**960):
+        return None
+    guard = (terms.size + 2).bit_length()
+    top = math.frexp(high)[1]
+    bottom = max(top - 158 + 4 * guard, -959)
+    cut = math.ldexp(1.0, bottom - 1)
+    if low >= cut:
+        rest, slack, bottom = terms, 0, math.frexp(low)[1]
+    else:
+        rest = terms[terms >= cut]
+        slack = (terms.size - rest.size) << (bottom - 1 - _FSUM_UNIT)
+    k, part = top + guard, 0
+    for _ in range(-(-(top - bottom + guard + 1) // (53 - guard))):
+        sigma = math.ldexp(1.0, k)
+        q = rest + sigma
+        q -= sigma
+        part += _units(q.sum())
+        rest = np.subtract(rest, q, out=q)  # q is summed: reuse it
+        k -= 53 - guard
+    return part + _units(rest.sum()), slack
 
 
 def _fsum_blocks(blocks) -> float:
@@ -614,40 +572,30 @@ def _fsum_blocks(blocks) -> float:
     the correctly rounded sum of their concatenation, computed in integers.
 
     The blocks' parts and slacks (``_exact_block_sum``) add up as two
-    Python ints, A and E, and one correctly rounded division ends the sum,
-    so the result does not depend on where the blocks are cut nor on which
-    route each block takes, and its cost does not grow with the terms'
-    dynamic range, where math.fsum keeps ever more partials.  The exact sum
-    S lies in [A, A + E] and rounding is monotone, so when A and A + E
-    round to the same double, S rounds to it too: that double is the
-    result.  When they straddle a rounding boundary, which a truncated
-    block's dropped terms could carry the sum across, a second pass of
-    ``blocks()`` sums every block exactly, slack 0, by extraction or per
-    exponent.  That is rare: on nonnegative terms a truncated block whose
-    max is at least 2^(K - 960), so that its cut is 2^(t-K-1), adds at
-    most n 2^(t-K-1), less than 2^(5g - 106) ulps of the result, to E
-    (2^-21 on blocks of 2^16 terms).  Each block is dropped once summed.  Non-finite
-    terms, a block of 2^26 terms or more and a sum that overflows go to
-    math.fsum over another pass of ``blocks()``, which then gives its own
-    answer or error.
-    """
-    for certify in (True, False):
-        total = slack = 0
-        for part in map(functools.partial(_exact_block_sum, certify=certify), blocks()):
-            if part is None:
-                break  # to math.fsum
-            total += part[0]
-            slack += part[1]
-        else:
-            try:
-                result = total / (1 << -_FSUM_UNIT)
-                if (total + slack) / (1 << -_FSUM_UNIT) == result:
-                    return result
-            except OverflowError:
-                if not slack:
-                    break  # the exact sum overflows: to math.fsum
-            continue  # A and A + E round apart: sum again, exactly
-        break
+    Python ints, A and E, in one pass that drops each block once summed,
+    and one correctly rounded division ends the sum: its cost does not
+    grow with the terms' dynamic range, as math.fsum's partials do.  The
+    exact sum lies in [A, A + E] and rounding is monotone, so when A and
+    A + E round to the same double, that double is the result.  A
+    truncated block, its max at least 2^(K - 960) so that its cut is
+    2^(t-K-1), adds less than n 2^(t-K-1) < 2^(5g - 106) ulps of the
+    result to E (2^-21 on blocks of 2^16 terms): they seldom round apart.
+    When a block returns None, A and A + E round apart or the division
+    overflows, math.fsum sums another pass of ``blocks()`` and gives its
+    own answer or error."""
+    total = slack = 0
+    for part in map(_exact_block_sum, blocks()):
+        if part is None:
+            break
+        total += part[0]
+        slack += part[1]
+    else:
+        try:
+            result = total / (1 << -_FSUM_UNIT)
+            if (total + slack) / (1 << -_FSUM_UNIT) == result:
+                return result
+        except OverflowError:
+            pass
     return math.fsum(x for terms in blocks() for x in terms.tolist())
 
 
@@ -660,8 +608,9 @@ def c0_bruteforce(T: WeightTable, xi, m) -> float:
     """Finite-m normalization sum n! m^{-n} sum_alpha e^{-<alpha,xi>/m} dim,
     with the inner sum correctly rounded (``_fsum_blocks``) over the
     degree's atom blocks, so no call holds the whole degree.  The terms are
-    not negative, so a sum beyond the double range is inf, its correctly
-    rounded value."""
+    not negative, so a product <alpha, xi> or a sum beyond the double range
+    gives inf or 0, e^{-+inf} being the correctly rounded term; a product
+    that is inf - inf raises ValueError, naming m and xi."""
     m = T._check_degree(m)
     xf = as_float_vector(xi, T.dim)
     T.count(m)  # the degree's own checks raise here, not in the handler below
@@ -670,16 +619,24 @@ def c0_bruteforce(T: WeightTable, xi, m) -> float:
         # e^{-<alpha, xi>/m} formed in place: d / (-m) rounds to the same
         # double as -d / m, as IEEE rounding is symmetric in sign
         alphas, dims = block
-        d = alphas @ xf
-        np.divide(d, -m, out=d)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = alphas @ xf
+            np.divide(d, -m, out=d)
             np.exp(d, out=d)
             return d if dims is None else np.multiply(d, dims, out=d)
 
+    def blocks():
+        return map(terms, T._atom_blocks(m))
+
     try:
-        total = _fsum_blocks(lambda: map(terms, T._atom_blocks(m)))
-    except OverflowError:
-        total = math.inf
+        total = _fsum_blocks(blocks)
+    except OverflowError:  # the finite terms overflowed, maybe ahead of a nan
+        total = math.nan if any(np.isnan(t).any() for t in blocks()) else math.inf
+    if math.isnan(total):
+        raise ValueError(
+            f"direction {tuple(xf.tolist())}: a product <alpha, xi> at degree "
+            f"{m} is inf - inf in c0_bruteforce"
+        )
     scale = math.factorial(T.dim) / float(m) ** T.dim
     return scale * total
 
@@ -832,14 +789,16 @@ def dh_measure(T: WeightTable, xi, m) -> DHSample:
     multiplicities (a toric table) their masses are the counts, otherwise
     they are accumulated in exact integers (int64 while N_m, which bounds
     every merged mass, fits it, else Python ints), before the single
-    division by N_m."""
+    division by N_m.  Raises ValueError, naming m and xi, when a lambda
+    leaves the double range."""
     m = T._check_degree(m)
     xf = as_float_vector(xi, T.dim)
     lambdas = np.empty(T._rows(m))
     start = 0
     for alphas, _ in T._atom_blocks(m):
         stop = start + alphas.shape[0]
-        np.divide(alphas @ xf, m, out=lambdas[start:stop])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(alphas @ xf, m, out=lambdas[start:stop])
         start = stop
     if isinstance(T, _ToricTable):
         uniq, weights = np.unique(lambdas, return_counts=True)
@@ -848,6 +807,12 @@ def dh_measure(T: WeightTable, xi, m) -> DHSample:
         dtype = np.int64 if T.count(m) < 2**63 else object
         weights = np.zeros(uniq.shape[0], dtype=dtype)
         np.add.at(weights, inverse, T.dims(m).astype(dtype, copy=False))
+    # sorted, so -inf comes first and inf and nan last
+    if not (math.isfinite(uniq[0]) and math.isfinite(uniq[-1])):
+        raise ValueError(
+            f"direction {tuple(xf.tolist())}: a lambda at degree {m} leaves "
+            "the double range in dh_measure"
+        )
     masses = np.asarray(weights / T.count(m), dtype=float)
     with np.errstate(over="ignore"):
         # a direction too large for the norm gets an inf bound, silently

@@ -645,6 +645,29 @@ def test_dh_direction_past_norm_range_prints_one_line():
     assert res.stderr == "error: --xi 1e300: exp_moment is inf, not finite\n"
 
 
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (
+            ["dh", "square", "--xi", "1e307,0", "--m", "100"],
+            "error: --m 100: direction (1e+307, 0.0): a lambda at degree 100 "
+            "leaves the double range in dh_measure",
+        ),
+        (
+            ["invariants", "square", "--xi", "1e306,0", "--oracle", "200"],
+            "error: --oracle 200 at --xi 1e306,0: c0 is inf, not finite",
+        ),
+    ],
+)
+def test_a_weight_product_past_the_double_range_prints_one_line(args, line):
+    """<alpha, xi> overflows at the far lattice points of mP: stderr holds
+    the one error line and no numpy overflow warning."""
+    command, name, *rest = args
+    res = run_child([command, path_of(name), *rest])
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == line + "\n"
+
+
 def test_invariants_negative_jensen_gap_exit_1():
     """The engine's negative gap at a small cube direction (the numbers
     stay wrong until the engine is fixed) ends in one line, not a

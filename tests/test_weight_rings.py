@@ -629,13 +629,22 @@ def test_blocked_fsum_matches_fsum_of_the_concatenation():
 
 
 @pytest.fixture
-def bincount_calls(monkeypatch):
-    """The np.bincount calls made while a test runs.  Only the
-    per-exponent route of _exact_block_sum makes them, so none means every
-    block was summed by extraction, whole or truncated, and no sum reran."""
+def fsum_fallbacks(monkeypatch):
+    """The math.fsum calls made through weight_rings while a test runs.  Of
+    the functions these tests call, only _fsum_blocks' fallback makes them,
+    so none means every block was summed by extraction, whole or
+    truncated, and every slack was certified."""
     calls = []
-    bincount = np.bincount
-    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def fsum(self, terms):
+            calls.append(1)
+            return math.fsum(terms)
+
+    monkeypatch.setattr(wr, "math", CountingMath())
     return calls
 
 
@@ -662,41 +671,41 @@ def assert_fsum_bits(x):
 
 
 @pytest.mark.parametrize("n", [1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**17])
-def test_extraction_matches_fsum_around_the_guard_steps(bincount_calls, n):
+def test_extraction_matches_fsum_around_the_guard_steps(fsum_fallbacks, n):
     """Block sizes on both sides of where the guard g = bit_length(n + 2)
     grows, at the narrowest and the widest span the route takes."""
     rng = np.random.default_rng(n)
     for span in (0, extraction_limit(n)) if n > 1 else (0,):
         assert_fsum_bits(spanning_block(rng, n, span))
-    assert bincount_calls == []
+    assert fsum_fallbacks == []
 
 
 @pytest.mark.parametrize("n", [1000, 2**16])
-def test_extraction_takes_spans_up_to_three_levels(bincount_calls, n):
+def test_extraction_takes_spans_up_to_three_levels(fsum_fallbacks, n):
     """Every span from 0 binades to the three-level limit (90 binades on
-    2^16 terms) is extracted whole, slack 0.  One binade more puts the
-    least terms below the cut: an exact pass falls back per exponent, and
-    a certified one drops them for a slack of their count times the cut,
-    which brackets the exact sum.  The sums give math.fsum's bits with no
+    2^16 terms) is extracted whole, slack 0, and at the limit the part is
+    the exact sum.  One binade more puts the least terms below the cut,
+    and they are dropped for a slack of their count times the cut, which
+    brackets the exact sum.  The sums give math.fsum's bits with no
     fallback."""
     rng = np.random.default_rng(n + 1)
     limit = extraction_limit(n)
     for span in range(limit + 2):
         x = spanning_block(rng, n, span)
-        bincount_calls.clear()
+        fsum_fallbacks.clear()
         assert_fsum_bits(x)
-        assert bincount_calls == [], span
-        exact, slack = wr._exact_block_sum(x, certify=False)
-        assert slack == 0 and (bincount_calls == []) == (span <= limit), span
+        assert fsum_fallbacks == [], span
         part, slack = wr._exact_block_sum(x)
         dropped = int(np.count_nonzero(x < 2.0**-limit))
         assert (dropped > 0) == (span > limit), span
         assert slack == dropped << (-limit - wr._FSUM_UNIT), span
-        assert part <= exact <= part + slack, span
+        if span >= limit:
+            exact = sum(map(wr._units, x.tolist()))
+            assert part <= exact <= part + slack and (exact == part) == (span == limit), span
 
 
 @pytest.mark.parametrize("n", [1, 1000, 2**16, 2**16 + 1, 2**17])
-def test_wide_nonnegative_blocks_match_fsum(bincount_calls, n):
+def test_wide_nonnegative_blocks_match_fsum(fsum_fallbacks, n):
     """Blocks spanning 55 to 900 binades, with zeros and subnormals mixed
     in, are summed by truncated extraction to math.fsum's bits, and their
     slacks never straddle a rounding boundary here."""
@@ -708,24 +717,24 @@ def test_wide_nonnegative_blocks_match_fsum(bincount_calls, n):
         x[picks[1::2]] = np.ldexp(rng.uniform(0.0, 1.0, len(picks[1::2])), -1022)
         assert_fsum_bits(x)
         assert_fsum_bits(x[::-1])
-    assert bincount_calls == []
+    assert fsum_fallbacks == []
 
 
-def test_a_straddling_slack_reruns_the_sum_exactly(bincount_calls):
+def test_a_straddling_slack_falls_back_to_fsum(fsum_fallbacks):
     """1 + 2^-53 is a tie that rounds to 1, while the term 2^-200, dropped
     below the cut 2^-146 of three terms, carries the exact sum up to
-    1 + 2^-52: the part and the part plus slack round apart, and the rerun
-    sums the block exactly, per exponent."""
+    1 + 2^-52: the part and the part plus slack round apart, and the sum
+    falls back to math.fsum."""
     x = np.array([1.0, 2.0**-53, 2.0**-200])
     part, slack = wr._exact_block_sum(x)
     assert slack == 1 << (-146 - wr._FSUM_UNIT)
     unit = 1 << -wr._FSUM_UNIT
     assert (part / unit, (part + slack) / unit) == (1.0, 1.0 + 2.0**-52)
     assert wr._fsum(x) == 1.0 + 2.0**-52
-    assert len(bincount_calls) == 2  # the rerun's two bincounts
+    assert len(fsum_fallbacks) == 1
 
 
-def test_extraction_rounds_half_ulp_ties_exactly(bincount_calls):
+def test_extraction_rounds_half_ulp_ties_exactly(fsum_fallbacks):
     """Runs of terms exactly halfway between two points of the first or
     the second level's grid, so that every q is a round-half-even tie, and
     totals that are themselves a half-ulp tie of the result."""
@@ -743,27 +752,31 @@ def test_extraction_rounds_half_ulp_ties_exactly(bincount_calls):
         for run in (1, 2, 3, 1023):
             assert_fsum_bits(np.array([head] + [2.0**-53] * run + [2.0**-54] * run))
             assert_fsum_bits(np.array([2.0**-53] * run + [head]))
-    assert bincount_calls == []
+    assert fsum_fallbacks == []
 
 
-def test_terms_near_the_ends_of_the_double_range_fall_back(bincount_calls):
+def test_terms_near_the_ends_of_the_double_range_fall_back(fsum_fallbacks):
     """Terms next to 2^1000 or 2^-1000 lie outside the extraction window
-    [2^-960, 2^960) and go per exponent; just inside the window they are
-    extracted.  Both give math.fsum's bits."""
+    [2^-960, 2^960), and so does a block with a negative term: those
+    blocks return None and the sum falls back to math.fsum.  Just inside
+    the window the terms are extracted.  Both give math.fsum's bits."""
     up, down = (lambda x: math.nextafter(x, math.inf)), (lambda x: math.nextafter(x, 0.0))
+    negative = ([1.0, -0.5], [1.0, 2.0**-53, -(2.0**-160)], [-(2.0**-960)])
     for edge in (2.0**1000, 2.0**-1000):
         for terms in ([edge], [down(edge), edge, up(edge)], [1.5 * edge] * 7, [edge, 3 * edge]):
-            bincount_calls.clear()
+            assert wr._exact_block_sum(np.array(terms)) is None, terms
+            fsum_fallbacks.clear()
             assert_fsum_bits(np.array(terms))
-            assert bincount_calls, terms
-    for outside in ([down(2.0**-960)], [2.0**960], [1.0, 2.0**960]):
-        bincount_calls.clear()
+            assert fsum_fallbacks == [1], terms
+    for outside in ([down(2.0**-960)], [2.0**960], [1.0, 2.0**960], *negative):
+        assert wr._exact_block_sum(np.array(outside)) is None, outside
+        fsum_fallbacks.clear()
         assert_fsum_bits(np.array(outside))
-        assert bincount_calls, outside
+        assert fsum_fallbacks == [1], outside
     for inside in ([2.0**-960], [down(2.0**960)] * 3, [2.0**-960, 1.5 * 2.0**-960]):
-        bincount_calls.clear()
+        fsum_fallbacks.clear()
         assert_fsum_bits(np.array(inside))
-        assert bincount_calls == [], inside
+        assert fsum_fallbacks == [], inside
 
 
 def perfbench_gen():
@@ -775,22 +788,35 @@ def perfbench_gen():
     return gen
 
 
-def test_bench_c0_sums_are_extracted_at_every_direction(bincount_calls):
-    """On the cube at degree 32 the benchmark's tiny, unit and edge pool
-    directions give terms within a few binades, so every block is
-    extracted whole; a large direction spans hundreds of binades, so its
-    blocks are truncated, and the certificate holds without a rerun."""
+def test_bench_c0_sums_are_extracted_at_every_direction(fsum_fallbacks, monkeypatch):
+    """On every benchmark table (perfbench/workloads.TABLES: the six
+    polygons at degree 128, the cube at 32) and every pool direction of the
+    four regimes, c0_bruteforce at the table's depth and dh_measure with
+    dh_exp_moment sum every block by extraction and never fall back to
+    math.fsum.  The large directions span hundreds of binades, so some
+    blocks are truncated, and their slacks are certified.  About 1 s on a
+    2-core Xeon."""
+    blocks = []
+
+    def counted(terms, block_sum=wr._exact_block_sum):
+        part = block_sum(terms)
+        blocks.append(part is not None and part[1] > 0)
+        return part
+
+    monkeypatch.setattr(wr, "_exact_block_sum", counted)
     gen = perfbench_gen()
-    P = corpus.load_corpus("cube")
-    T = wr.weight_table_toric(P, 32)
-    edges = gen.edge_vectors(P.vertices, P.facets)
-    for regime in ("tiny", "unit", "edge"):
-        for i in range(gen.POOL):
-            wr.c0_bruteforce(T, gen.direction("cube", regime, i, edges), 32)
-    assert bincount_calls == []
-    for i in range(gen.POOL):
-        wr.c0_bruteforce(T, gen.direction("cube", "large", i, edges), 32)
-    assert bincount_calls == []
+    tables = [(name, 128) for name in gen.CORPUS if name not in ("interval", "cube")]
+    for name, depth in tables + [("cube", 32)]:
+        P = corpus.load_corpus(name)
+        T = wr.weight_table_toric(P, depth)
+        edges = gen.edge_vectors(P.vertices, P.facets)
+        for regime in gen.REGIMES:
+            for i in range(gen.POOL):
+                xi = gen.direction(name, regime, i, edges)
+                wr.c0_bruteforce(T, xi, depth)
+                wr.dh_exp_moment(wr.dh_measure(T, xi, depth))
+    assert fsum_fallbacks == []
+    assert any(blocks) and not all(blocks)
 
 
 def test_c0_bruteforce_converges_to_exact():
@@ -961,6 +987,34 @@ def test_c0_bruteforce_beyond_the_double_range_is_inf():
         wr._fsum(np.array([1e308, 1e308]))
 
 
+class UnfusedRows(np.ndarray):
+    """Weight rows whose products <alpha, xi> add term by term, as a matmul
+    without fused multiply-adds does, so that inf can meet -inf as nan."""
+
+    def __matmul__(self, xf):
+        return np.einsum("ij,j->i", np.asarray(self), xf)
+
+
+def test_c0_bruteforce_products_past_the_double_range(monkeypatch):
+    """A product <alpha, xi> past the double range is +-inf and its term
+    e^{-+inf} is 0 or inf, with no numpy warning.  A product that is
+    inf - inf raises ValueError naming m and xi, whether the sum is nan or
+    its finite terms (two of e^709.7) overflow first."""
+    T = wr.weight_table_toric(corpus.load_corpus("square"), 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wr.c0_bruteforce(T, (1e308, 0), 8) == math.inf
+    rows = np.array([[-8, -8, 0], [0, 0, 1], [1, 1, 1]])
+    T = wr.WeightTable(3, rows, np.ones(3, dtype=np.int64), {1: 3}, "rows")
+    blocks = T._atom_blocks
+    monkeypatch.setattr(
+        T, "_atom_blocks", lambda m: ((a.view(UnfusedRows), d) for a, d in blocks(m))
+    )
+    for last in (0.0, -709.7):
+        with pytest.raises(ValueError, match=r"\(1e\+308, -1e\+308, .*degree 1 is inf - inf"):
+            wr.c0_bruteforce(T, (1e308, -1e308, last), 1)
+
+
 # ---------------------------------------------------------------------------
 # Duistermaat-Heckman sample
 
@@ -1025,6 +1079,18 @@ def test_dh_sample_rejects_support_beyond_bound():
             masses=np.array([1.0]),
             weight_bound=1.0,
         )
+
+
+def test_dh_measure_refuses_a_lambda_past_the_double_range():
+    """On the square at degree 8 and xi = (1e308, 0) the largest lambda is
+    8 * 1e308 / 8 = 1e308, but <alpha, xi> = 8e308 overflows before the
+    division: dh_measure names m and xi instead of an atom at inf, with no
+    numpy warning."""
+    T = wr.weight_table_toric(corpus.load_corpus("square"), 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"direction \(1e\+308, 0\.0\): a lambda at degree 8 "):
+            wr.dh_measure(T, (1e308, 0), 8)
 
 
 def test_dh_interval_cdf_close_to_uniform():
