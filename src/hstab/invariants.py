@@ -145,12 +145,9 @@ class InvariantReport:
 
 
 def build_report(P, xi) -> InvariantReport:
-    """Aggregate report; raises NotReflexive on non-Fano-normalized input.
-
-    The defining identities are re-checked on the assembled fields
-    (NumericalCheckFailed, carrying the float direction, when one fails):
-    H = -V log(c0/V) - 2 (n-1)! b1 and DF = n! (b0 - (2/n) b1) to 1e-12,
-    and gap = DF - H >= -1e-9.
+    """Aggregate report; raises NotReflexive on non-Fano-normalized input,
+    and NumericalCheckFailed, carrying the float direction, when the gap
+    DF - H is below -1e-9 or disagrees with the literal DF - H (``_gap``).
     """
     require_reflexive(P)
     xf = as_float_vector(xi, P.dim)
@@ -169,7 +166,6 @@ def build_report(P, xi) -> InvariantReport:
         h = _h(P, log_ratio, b1_f)
         gap = _gap(P, xf, log_ratio, b0_f, b1_f)
     else:
-        log_ratio = 0.0
         c0 = float(v)
         h = gap = 0.0
     if any(xf) and xe == as_exact_vector(xf, n):
@@ -177,14 +173,6 @@ def build_report(P, xi) -> InvariantReport:
     else:
         b0, b1 = b0_b1_exact(P, xe)
     df_exact = _df(n, b0, b1)
-    df = float(df_exact)
-
-    h_again = -float(v) * log_ratio - 2 * math.factorial(n - 1) * float(b1)
-    if not abs(h - h_again) <= 1e-12 * max(1.0, abs(h)) + 1e-12:
-        raise NumericalCheckFailed("H does not satisfy its defining identity", xf)
-    df_again = math.factorial(n) * (float(b0) - (2.0 / n) * float(b1))
-    if not abs(df - df_again) <= 1e-12 * max(1.0, abs(df)) + 1e-12:
-        raise NumericalCheckFailed("DF does not satisfy its defining identity", xf)
     if not gap >= -1e-9:
         raise NumericalCheckFailed("Jensen gap is negative beyond tolerance", xf)
 
@@ -198,7 +186,7 @@ def build_report(P, xi) -> InvariantReport:
         b0=b0,
         b1=b1,
         h=h,
-        df=df,
+        df=float(df_exact),
         df_exact=df_exact,
         jensen_gap=gap,
     )

@@ -460,16 +460,17 @@ def total_weight(T: WeightTable, xi, m):
 
     The integer moment vector sum(alpha * dim) is accumulated exactly
     first, so the result is an exact rational whenever every entry of xi
-    is exact (int / Fraction / 'p/q' string), and a float otherwise.
-    Raises ValueError, naming m and xi, when the float sum leaves the
-    double range (a partial sum overflows, or inf meets -inf).
+    is exact (int / Fraction / 'p/q' string), and a float otherwise, summed
+    at xi 2^-s (``_downscaled``).  Raises ValueError, naming m and xi, when
+    the float sum leaves the double range.
     """
     moment = T.moment(m)
     if _is_float_like(xi):
         xf = tuple(as_float_vector(xi, T.dim).tolist())
+        xs, s = _downscaled(xf, max(map(abs, moment)))
         try:
-            return math.fsum(mi * ci for mi, ci in zip(moment, xf))
-        except (OverflowError, ValueError):  # overflow, or inf - inf
+            return math.ldexp(math.fsum(mi * ci for mi, ci in zip(moment, xs)), s)
+        except OverflowError:
             raise ValueError(
                 f"direction {xf}: the weight sum at degree {m} leaves the "
                 "double range in total_weight"
@@ -478,23 +479,40 @@ def total_weight(T: WeightTable, xi, m):
     return sum((mi * ci for mi, ci in zip(moment, xe)), Fraction(0))
 
 
-# frexp's exponents of finite doubles are >= -1073 and mantissas carry 53
-# bits, so every finite double is an integer multiple of 2^_FSUM_UNIT
-_FSUM_UNIT = -1073 - 53
+def _downscaled(xf, bound: int):
+    """(xi 2^-s, s) for a finite float xi and an integer bound >= every
+    |a_i|, so that no float partial sum of <a, xi 2^-s> overflows: s =
+    max(0, e - 1022) with every partial sum of <a, xi> below n bound
+    max|xi_i| < 2^e, and xi itself when s = 0.  A sum scaled back by 2^s
+    keeps its bits (power-of-two scaling commutes with rounding), bar the
+    bits that a term loses below 2^-1022."""
+    s = bound.bit_length() + math.frexp(max(map(abs, xf)))[1] + len(xf).bit_length() - 1022
+    return (xf, 0) if s <= 0 else ([math.ldexp(x, -s) for x in xf], s)
 
 
-def _units(x: float) -> int:
-    """A finite double as an exact integer count of 2^_FSUM_UNIT."""
-    num, den = float(x).as_integer_ratio()  # den is 2^t with t <= 1074
-    return num << (-_FSUM_UNIT - den.bit_length() + 1)
+def _lambda_blocks(T: WeightTable, xf, m: int):
+    """(lambdas, dims) of each atom block of a checked degree m, lambda =
+    <alpha, xi>/m taken at xi 2^-s (``_downscaled``, |alpha_i| <= C m):
+    +-inf only where lambda itself leaves the double range."""
+    c_sq = T.weight_bound_sq
+    xs, s = _downscaled(xf, math.isqrt(c_sq.numerator * m * m // c_sq.denominator))
+
+    def block(atoms):
+        lambdas = atoms[0] @ xs
+        np.divide(lambdas, m, out=lambdas)
+        if s:
+            with np.errstate(over="ignore"):
+                np.ldexp(lambdas, s, out=lambdas)
+        return lambdas, atoms[1]
+
+    return map(block, T._atom_blocks(m))
 
 
 def _exact_block_sum(terms: np.ndarray):
-    """The sum of one block of terms as two Python ints in units of
-    2^_FSUM_UNIT, (part, slack), the exact sum lying in [part, part +
-    slack]; or None, for math.fsum to take, when the block holds 2^26
-    terms or more, a term is negative or not finite, or the max lies
-    outside [2^-960, 2^960).
+    """The sum of one block of terms as exact doubles (parts, slack), the
+    exact sum lying in [sum(parts), sum(parts) + slack]; or None, for
+    math.fsum to take, when the block holds 2^26 terms or more, a term is
+    negative or not finite, or the max lies outside [2^-960, 2^960).
 
     Let n be the block's size, g = bit_length(n + 2), so that n < 2^g and
     g <= 27, t the frexp exponent of the max, and cut = 2^(b-1) with b =
@@ -502,10 +520,10 @@ def _exact_block_sum(terms: np.ndarray):
     terms >= cut are summed by error-free extraction (Rump, Ogita and
     Oishi, *Accurate floating-point summation part I*, SIAM J. Sci.
     Comput. 31, 2008, ExtractVector) in at most three levels of streaming
-    passes and a last plain sum.  The others, zeros and subnormals
-    included, are dropped: each lies in [0, cut), so the slack is their
-    count times the cut, 0 when every term is >= cut and the block is
-    extracted whole, with no copy.
+    passes and a last plain sum, a part each.  The others, zeros and
+    subnormals included, are dropped: each lies in [0, cut), so the slack
+    is their count times the cut, 0 when every term is >= cut and the
+    block is extracted whole, with no copy.
 
     Extraction.  Every extracted term x satisfies 2^(b'-1) <= x < 2^t,
     with b' >= b the min's frexp exponent (whole block) or b itself
@@ -538,10 +556,9 @@ def _exact_block_sum(terms: np.ndarray):
        own float sum is then exact, and it ends the sum as level L.  L - 1
        = ceil((t - b' + g + 1)/(53 - g)), at most 3 as t - b' <= K.  The
        window keeps sigma <= 2^(960+27) and 2^(b'-53) >= 2^-1012, clear of
-       overflow and of the subnormals.  The level sums add up exactly as
-       Python ints (``_units``)."""
+       overflow and of the subnormals."""
     if not terms.size:
-        return 0, 0
+        return [], 0.0
     if terms.size >= 2**26:
         return None
     low, high = float(terms.min()), float(terms.max())  # nan if any term is
@@ -552,47 +569,47 @@ def _exact_block_sum(terms: np.ndarray):
     bottom = max(top - 158 + 4 * guard, -959)
     cut = math.ldexp(1.0, bottom - 1)
     if low >= cut:
-        rest, slack, bottom = terms, 0, math.frexp(low)[1]
+        rest, slack, bottom = terms, 0.0, math.frexp(low)[1]
     else:
         rest = terms[terms >= cut]
-        slack = (terms.size - rest.size) << (bottom - 1 - _FSUM_UNIT)
-    k, part = top + guard, 0
+        slack = (terms.size - rest.size) * cut
+    k, parts = top + guard, []
     for _ in range(-(-(top - bottom + guard + 1) // (53 - guard))):
         sigma = math.ldexp(1.0, k)
         q = rest + sigma
         q -= sigma
-        part += _units(q.sum())
+        parts.append(float(q.sum()))
         rest = np.subtract(rest, q, out=q)  # q is summed: reuse it
         k -= 53 - guard
-    return part + _units(rest.sum()), slack
+    parts.append(float(rest.sum()))
+    return parts, slack
 
 
 def _fsum_blocks(blocks) -> float:
     """math.fsum over the terms of every array that ``blocks()`` yields,
-    the correctly rounded sum of their concatenation, computed in integers.
+    the correctly rounded sum of their concatenation.
 
-    The blocks' parts and slacks (``_exact_block_sum``) add up as two
-    Python ints, A and E, in one pass that drops each block once summed,
-    and one correctly rounded division ends the sum: its cost does not
-    grow with the terms' dynamic range, as math.fsum's partials do.  The
-    exact sum lies in [A, A + E] and rounding is monotone, so when A and
-    A + E round to the same double, that double is the result.  A
-    truncated block, its max at least 2^(K - 960) so that its cut is
-    2^(t-K-1), adds less than n 2^(t-K-1) < 2^(5g - 106) ulps of the
-    result to E (2^-21 on blocks of 2^16 terms): they seldom round apart.
-    When a block returns None, A and A + E round apart or the division
+    One pass, dropping each block once summed, keeps the blocks' parts and
+    slacks (``_exact_block_sum``), a few doubles per block, for math.fsum
+    to round.  The exact sum lies in [A, A + E], A the sum of the parts and
+    E of the slacks, and rounding is monotone, so when A and A + E round
+    to the same double, that double is the result.  A truncated block, its
+    max at least 2^(K - 960) so that its cut is 2^(t-K-1), adds less than
+    n 2^(t-K-1) < 2^(5g - 106) ulps of the result to E (2^-21 on blocks of
+    2^16 terms): they seldom round apart.
+    When a block returns None, A and A + E round apart or either sum
     overflows, math.fsum sums another pass of ``blocks()`` and gives its
     own answer or error."""
-    total = slack = 0
-    for part in map(_exact_block_sum, blocks()):
-        if part is None:
+    parts, slacks = [], []
+    for block in map(_exact_block_sum, blocks()):
+        if block is None:
             break
-        total += part[0]
-        slack += part[1]
+        parts += block[0]
+        slacks.append(block[1])
     else:
         try:
-            result = total / (1 << -_FSUM_UNIT)
-            if (total + slack) / (1 << -_FSUM_UNIT) == result:
+            result = math.fsum(parts)
+            if math.fsum(parts + slacks) == result:
                 return result
         except OverflowError:
             pass
@@ -608,35 +625,25 @@ def c0_bruteforce(T: WeightTable, xi, m) -> float:
     """Finite-m normalization sum n! m^{-n} sum_alpha e^{-<alpha,xi>/m} dim,
     with the inner sum correctly rounded (``_fsum_blocks``) over the
     degree's atom blocks, so no call holds the whole degree.  The terms are
-    not negative, so a product <alpha, xi> or a sum beyond the double range
-    gives inf or 0, e^{-+inf} being the correctly rounded term; a product
-    that is inf - inf raises ValueError, naming m and xi."""
+    not negative, so an exponent or a sum beyond the double range gives
+    inf or 0, e^{-+inf} being the correctly rounded term."""
     m = T._check_degree(m)
     xf = as_float_vector(xi, T.dim)
-    T.count(m)  # the degree's own checks raise here, not in the handler below
 
     def terms(block):
-        # e^{-<alpha, xi>/m} formed in place: d / (-m) rounds to the same
-        # double as -d / m, as IEEE rounding is symmetric in sign
-        alphas, dims = block
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = alphas @ xf
-            np.divide(d, -m, out=d)
+        # e^{-lambda} in place, as the lambdas of -xi are exactly -lambda
+        d, dims = block
+        with np.errstate(over="ignore"):
             np.exp(d, out=d)
             return d if dims is None else np.multiply(d, dims, out=d)
 
     def blocks():
-        return map(terms, T._atom_blocks(m))
+        return map(terms, _lambda_blocks(T, -xf, m))
 
     try:
         total = _fsum_blocks(blocks)
-    except OverflowError:  # the finite terms overflowed, maybe ahead of a nan
-        total = math.nan if any(np.isnan(t).any() for t in blocks()) else math.inf
-    if math.isnan(total):
-        raise ValueError(
-            f"direction {tuple(xf.tolist())}: a product <alpha, xi> at degree "
-            f"{m} is inf - inf in c0_bruteforce"
-        )
+    except OverflowError:  # the finite terms overflowed
+        total = math.inf
     scale = math.factorial(T.dim) / float(m) ** T.dim
     return scale * total
 
@@ -774,7 +781,7 @@ class DHSample:
             raise ValueError("masses must sum to 1")
         if self.lambdas.size:
             worst = float(np.max(np.abs(self.lambdas)))
-            if not worst <= self.weight_bound + 1e-12:
+            if not worst <= self.weight_bound + 1e-12 * max(self.weight_bound, 1.0):
                 raise ValueError("support exceeds the weight bound")
 
     @property
@@ -784,22 +791,20 @@ class DHSample:
 
 def dh_measure(T: WeightTable, xi, m) -> DHSample:
     """Duistermaat-Heckman sample of the table at degree m in direction
-    xi.  The lambdas fill one array block by block.  Atoms with exactly
-    equal lambda (after the float division) are merged: with unit
-    multiplicities (a toric table) their masses are the counts, otherwise
-    they are accumulated in exact integers (int64 while N_m, which bounds
-    every merged mass, fits it, else Python ints), before the single
-    division by N_m.  Raises ValueError, naming m and xi, when a lambda
-    leaves the double range."""
+    xi.  The lambdas (``_lambda_blocks``) fill one array block by block.
+    Atoms with exactly equal lambda (after the float division) are merged:
+    with unit multiplicities (a toric table) their masses are the counts,
+    otherwise they are accumulated in exact integers (int64 while N_m,
+    which bounds every merged mass, fits it, else Python ints), before the
+    single division by N_m.  Raises ValueError, naming m and xi, when a
+    lambda leaves the double range."""
     m = T._check_degree(m)
     xf = as_float_vector(xi, T.dim)
     lambdas = np.empty(T._rows(m))
     start = 0
-    for alphas, _ in T._atom_blocks(m):
-        stop = start + alphas.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(alphas @ xf, m, out=lambdas[start:stop])
-        start = stop
+    for block, _ in _lambda_blocks(T, xf, m):
+        lambdas[start : start + block.size] = block
+        start += block.size
     if isinstance(T, _ToricTable):
         uniq, weights = np.unique(lambdas, return_counts=True)
     else:
@@ -807,7 +812,7 @@ def dh_measure(T: WeightTable, xi, m) -> DHSample:
         dtype = np.int64 if T.count(m) < 2**63 else object
         weights = np.zeros(uniq.shape[0], dtype=dtype)
         np.add.at(weights, inverse, T.dims(m).astype(dtype, copy=False))
-    # sorted, so -inf comes first and inf and nan last
+    # sorted, so -inf comes first and inf last
     if not (math.isfinite(uniq[0]) and math.isfinite(uniq[-1])):
         raise ValueError(
             f"direction {tuple(xf.tolist())}: a lambda at degree {m} leaves "

@@ -198,7 +198,7 @@ def test_non_finite_weight_statistic_exit_2(runner, args, where, quantity):
 @pytest.mark.parametrize(
     "args,where",
     [
-        (["character", "blowup_one", "--xi", "1e308,-1e308"], "--xi 1e308,-1e308"),
+        (["character", "blowup_one", "--xi", "1e308,1e308"], "--xi 1e308,1e308"),
         (["character", "blowup_one", "--xi", "1e306,1e306"], "--xi 1e306,1e306"),
         # about 4e18 points: numpy refuses the array before allocating it
         (["dh", "square", "--xi", "1,0", "--m", "1000000000"], "--m 1000000000"),
@@ -650,8 +650,7 @@ def test_dh_direction_past_norm_range_prints_one_line():
     [
         (
             ["dh", "square", "--xi", "1e307,0", "--m", "100"],
-            "error: --m 100: direction (1e+307, 0.0): a lambda at degree 100 "
-            "leaves the double range in dh_measure",
+            "error: --xi 1e307,0: exp_moment is inf, not finite",
         ),
         (
             ["invariants", "square", "--xi", "1e306,0", "--oracle", "200"],
@@ -680,6 +679,19 @@ def test_invariants_negative_jensen_gap_exit_1():
     assert direction == [0.0001, 0.00005, -0.00007]
     P, parts = corpus.load_corpus("cube"), xi.split(",")
     assert gap == float(inv.df_raw(P, parts)) - inv.h_raw(P, parts) < -1e-9
+
+
+def test_invariants_gap_cross_check_failure_exit_1(runner, monkeypatch):
+    """DF moved by 1e-6 trips _gap's cross-check of DF - H: one line
+    naming the stage and the direction, no report."""
+    df = inv._df
+    monkeypatch.setattr(inv, "_df", lambda n, b0, b1: df(n, b0, b1) + Fraction(1, 10**6))
+    res = runner.invoke(main, ["invariants", path_of("blowup_one"), "--xi", "0.3,-0.5"])
+    child = subprocess.CompletedProcess([], res.exit_code, res.stdout, res.stderr)
+    direction, _ = assert_numerical_failure(
+        child, "invariants", "jensen gap disagrees with DF - H beyond roundoff"
+    )
+    assert direction == [0.3, -0.5]
 
 
 def test_optimize_df_below_h_exit_1(tmp_path):
@@ -830,12 +842,16 @@ def test_character_csv_parse_error_exit_2(runner, tmp_path):
 
 
 def test_character_non_finite_samples_exit_2(runner):
-    """Finite weight sums whose character overflows are refused on one
-    line naming the first non-finite quantity, with no report."""
+    """A weight sum past the double range is refused on one line naming
+    its degree, with no report, even where one product, 30 * 1e307 at
+    degree 4, overflows alone, so that no character is formed from it."""
     res = runner.invoke(main, ["character", path_of("blowup_one"), "--xi", "1e307,0"])
     assert res.exit_code == 2 and res.stdout == ""
     (line,) = res.stderr.splitlines()
-    assert line == "error: --xi 1e307,0: character at t = 0.5 is inf, not finite"
+    assert line == (
+        "error: --xi 1e307,0: direction (1e+307, 0.0): the weight sum at "
+        "degree 4 leaves the double range in total_weight"
+    )
 
 
 def test_character_help_shows_the_laurent_t_samples(runner):

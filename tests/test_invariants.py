@@ -15,7 +15,7 @@ import hstab.invariants as inv
 import hstab.lattice_geom as lg
 import hstab.weight_rings as wr
 from hstab import corpus
-from hstab.errors import NotReflexive
+from hstab.errors import NotReflexive, NumericalCheckFailed
 from hstab.simplex_calculus import exp_moments
 
 
@@ -135,6 +135,18 @@ def test_jensen_gap_is_df_minus_h():
     gap = inv.jensen_gap(P, xi)
     diff = inv.df_invariant(P, xi) - inv.h_invariant(P, xi)
     assert gap == pytest.approx(diff, rel=1e-9, abs=1e-11)
+
+
+def test_gap_cross_check_failure_carries_the_direction(monkeypatch):
+    """DF moved by 1e-6 makes n! b0 + V log(c0/V) disagree with the literal
+    DF - H: jensen_gap raises NumericalCheckFailed, an ArithmeticError
+    whose ``xi`` is the float direction."""
+    df = inv._df
+    monkeypatch.setattr(inv, "_df", lambda n, b0, b1: df(n, b0, b1) + Fraction(1, 10**6))
+    with pytest.raises(NumericalCheckFailed, match="jensen gap disagrees with DF - H") as info:
+        inv.jensen_gap(corpus.load_corpus("blowup_one"), ("3/10", "-1/2"))
+    assert isinstance(info.value, ArithmeticError)
+    assert list(info.value.xi) == [0.3, -0.5]
 
 
 # ---------------------------------------------------------------------------

@@ -630,10 +630,10 @@ def test_blocked_fsum_matches_fsum_of_the_concatenation():
 
 @pytest.fixture
 def fsum_fallbacks(monkeypatch):
-    """The math.fsum calls made through weight_rings while a test runs.  Of
-    the functions these tests call, only _fsum_blocks' fallback makes them,
-    so none means every block was summed by extraction, whole or
-    truncated, and every slack was certified."""
+    """The fallback passes of _fsum_blocks while a test runs: its math.fsum
+    calls over the terms of ``blocks()``, a generator, and not over the
+    list of extracted parts.  None means every block was summed by
+    extraction, whole or truncated, and every slack was certified."""
     calls = []
 
     class CountingMath:
@@ -641,7 +641,8 @@ def fsum_fallbacks(monkeypatch):
             return getattr(math, name)
 
         def fsum(self, terms):
-            calls.append(1)
+            if not isinstance(terms, list):
+                calls.append(1)
             return math.fsum(terms)
 
     monkeypatch.setattr(wr, "math", CountingMath())
@@ -695,13 +696,14 @@ def test_extraction_takes_spans_up_to_three_levels(fsum_fallbacks, n):
         fsum_fallbacks.clear()
         assert_fsum_bits(x)
         assert fsum_fallbacks == [], span
-        part, slack = wr._exact_block_sum(x)
+        parts, slack = wr._exact_block_sum(x)
         dropped = int(np.count_nonzero(x < 2.0**-limit))
         assert (dropped > 0) == (span > limit), span
-        assert slack == dropped << (-limit - wr._FSUM_UNIT), span
+        assert Fraction(slack) == dropped * Fraction(2) ** -limit, span
         if span >= limit:
-            exact = sum(map(wr._units, x.tolist()))
-            assert part <= exact <= part + slack and (exact == part) == (span == limit), span
+            part, exact = sum(map(Fraction, parts)), sum(map(Fraction, x.tolist()))
+            assert part <= exact <= part + Fraction(slack), span
+            assert (exact == part) == (span == limit), span
 
 
 @pytest.mark.parametrize("n", [1, 1000, 2**16, 2**16 + 1, 2**17])
@@ -726,10 +728,10 @@ def test_a_straddling_slack_falls_back_to_fsum(fsum_fallbacks):
     1 + 2^-52: the part and the part plus slack round apart, and the sum
     falls back to math.fsum."""
     x = np.array([1.0, 2.0**-53, 2.0**-200])
-    part, slack = wr._exact_block_sum(x)
-    assert slack == 1 << (-146 - wr._FSUM_UNIT)
-    unit = 1 << -wr._FSUM_UNIT
-    assert (part / unit, (part + slack) / unit) == (1.0, 1.0 + 2.0**-52)
+    parts, slack = wr._exact_block_sum(x)
+    assert slack == 2.0**-146
+    part = sum(map(Fraction, parts))
+    assert (float(part), float(part + Fraction(slack))) == (1.0, 1.0 + 2.0**-52)
     assert wr._fsum(x) == 1.0 + 2.0**-52
     assert len(fsum_fallbacks) == 1
 
@@ -989,7 +991,7 @@ def test_c0_bruteforce_beyond_the_double_range_is_inf():
 
 class UnfusedRows(np.ndarray):
     """Weight rows whose products <alpha, xi> add term by term, as a matmul
-    without fused multiply-adds does, so that inf can meet -inf as nan."""
+    without fused multiply-adds does."""
 
     def __matmul__(self, xf):
         return np.einsum("ij,j->i", np.asarray(self), xf)
@@ -997,9 +999,12 @@ class UnfusedRows(np.ndarray):
 
 def test_c0_bruteforce_products_past_the_double_range(monkeypatch):
     """A product <alpha, xi> past the double range is +-inf and its term
-    e^{-+inf} is 0 or inf, with no numpy warning.  A product that is
-    inf - inf raises ValueError naming m and xi, whether the sum is nan or
-    its finite terms (two of e^709.7) overflow first."""
+    e^{-+inf} is 0 or inf, with no numpy warning.  A product whose partial
+    sums reach past the double range while its exact value is small takes
+    that value, whether the matmul fuses its additions or adds term by
+    term: at xi = (1e308, -1e308, last) the products are 0, last and 0, so
+    c0 is 3! (2 + 1) at last = 0, and its two terms e^709.7 overflow the
+    sum at last = -709.7."""
     T = wr.weight_table_toric(corpus.load_corpus("square"), 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1007,12 +1012,28 @@ def test_c0_bruteforce_products_past_the_double_range(monkeypatch):
     rows = np.array([[-8, -8, 0], [0, 0, 1], [1, 1, 1]])
     T = wr.WeightTable(3, rows, np.ones(3, dtype=np.int64), {1: 3}, "rows")
     blocks = T._atom_blocks
-    monkeypatch.setattr(
-        T, "_atom_blocks", lambda m: ((a.view(UnfusedRows), d) for a, d in blocks(m))
-    )
-    for last in (0.0, -709.7):
-        with pytest.raises(ValueError, match=r"\(1e\+308, -1e\+308, .*degree 1 is inf - inf"):
-            wr.c0_bruteforce(T, (1e308, -1e308, last), 1)
+    for unfused in (False, True):
+        if unfused:
+            monkeypatch.setattr(
+                T, "_atom_blocks", lambda m: ((a.view(UnfusedRows), d) for a, d in blocks(m))
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert wr.c0_bruteforce(T, (1e308, -1e308, 0.0), 1) == 18.0
+            assert wr.c0_bruteforce(T, (1e308, -1e308, -709.7), 1) == math.inf
+
+
+def test_products_whose_partial_sums_overflow_take_their_exact_value():
+    """On the rows (-8, -8) and (2, 2) at degree 1 and xi = (1e308,
+    -1e308) both exact products are 0, though -8e308 and 2e308 lie past
+    the double range: c0 is 2! (1 + 1) = 4, and the DH sample is one atom
+    lambda = 0 of mass 1."""
+    rows = np.array([[-8, -8], [2, 2]])
+    T = wr.WeightTable(2, rows, np.ones(2, dtype=np.int64), {1: 2}, "rows")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wr.c0_bruteforce(T, (1e308, -1e308), 1) == 4.0
+        assert wr.dh_measure(T, (1e308, -1e308), 1).atoms == [(0.0, 1.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -1083,14 +1104,28 @@ def test_dh_sample_rejects_support_beyond_bound():
 
 def test_dh_measure_refuses_a_lambda_past_the_double_range():
     """On the square at degree 8 and xi = (1e308, 0) the largest lambda is
-    8 * 1e308 / 8 = 1e308, but <alpha, xi> = 8e308 overflows before the
-    division: dh_measure names m and xi instead of an atom at inf, with no
-    numpy warning."""
+    8 * 1e308 / 8 = 1e308, although <alpha, xi> = 8e308 lies past the
+    double range: every lambda k 1e308 / 8 is correctly rounded, with no
+    numpy warning.  At xi = (1e308, 1e308) the largest lambda is 2e308,
+    and dh_measure names m and xi instead of an atom at inf."""
     T = wr.weight_table_toric(corpus.load_corpus("square"), 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"direction \(1e\+308, 0\.0\): a lambda at degree 8 "):
-            wr.dh_measure(T, (1e308, 0), 8)
+        D = wr.dh_measure(T, (1e308, 0), 8)
+        assert D.lambdas.tolist() == [float(k * Fraction(1e308) / 8) for k in range(-8, 9)]
+        assert D.masses.tolist() == [17 / 289] * 17
+        with pytest.raises(ValueError, match=r"direction \(1e\+308, 1e\+308\): a lambda at degree 8 "):
+            wr.dh_measure(T, (1e308, 1e308), 8)
+
+
+def test_dh_support_may_round_one_ulp_past_the_bound():
+    """On the cube at degree 1 and xi = (6815.1, 6815.1, 6815.1) the
+    largest lambda rounds to 20445.300000000003, one ulp (3.6e-12) above
+    the bound 20445.3: the sample's check allows that relative rounding."""
+    T = wr.weight_table_toric(corpus.load_corpus("cube"), 1)
+    D = wr.dh_measure(T, (6815.1,) * 3, 1)
+    assert D.weight_bound == 20445.3
+    assert D.lambdas[-1] == 20445.300000000003
 
 
 def test_dh_interval_cdf_close_to_uniform():
@@ -1197,10 +1232,10 @@ def test_direction_coercion_errors():
         wr.c0_bruteforce(T, (1.0, float("inf")), 1)
 
 
-@pytest.mark.parametrize("xi,m", [((1e308, -1e308), 2), ((1e306, 1e306), 6)])
+@pytest.mark.parametrize("xi,m", [((8e307, 8e307), 2), ((1e306, 1e306), 6)])
 def test_total_weight_names_a_sum_past_the_double_range(xi, m):
-    """A float weight sum that overflows, or meets inf - inf, is named by
-    its degree and direction instead of by math.fsum's own text."""
+    """A float weight sum that overflows is named by its degree and
+    direction instead of by math.fsum's own text."""
     T = wr.weight_table_toric(corpus.load_corpus("blowup_one"), 8)
     text = (
         f"direction {xi}: the weight sum at degree {m} leaves the double "
@@ -1209,6 +1244,14 @@ def test_total_weight_names_a_sum_past_the_double_range(xi, m):
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         wr.total_weight(T, xi, m)
     assert math.isfinite(wr.total_weight(T, xi, 1))
+
+
+def test_total_weight_whose_products_overflow_takes_its_exact_value():
+    """On blowup_one the moment vector at degree m is (a_m, a_m), so at
+    xi = (1e308, -1e308) every weight sum is exactly 0, though 5e308 at
+    degree 2 lies past the double range."""
+    T = wr.weight_table_toric(corpus.load_corpus("blowup_one"), 8)
+    assert [wr.total_weight(T, (1e308, -1e308), m) for m in range(1, 9)] == [0.0] * 8
 
 
 def per_t_weight_character(T, xf, t, m_cut):
