@@ -405,12 +405,7 @@ def cmd_character(path: str, xi_text: str, t_text: str, m_max: int, output) -> N
         ]
         fit = wr.laurent_fit(table, xi)
         exact = None if P is None else lg.b0_b1_exact(P, xi)
-    _require_finite(
-        f"--xi {xi_text}",
-        **{f"character at t = {s['t']!r}": s["character"] for s in samples},
-        laurent_b0=fit.b0,
-        laurent_b1=fit.b1,
-    )
+    _require_finite(f"--xi {xi_text}", laurent_b0=fit.b0, laurent_b1=fit.b1)
     body = {
         "source": table.source,
         "dim": table.dim,

@@ -167,10 +167,6 @@ def simplex(vertices) -> Simplex:
     S = Simplex(
         vertices=tuple(tuple(Fraction(c) for c in v) for v in vertices)
     )
-    if len(S.vertices) != S.dim + 1:
-        raise DegenerateSimplex(
-            f"need {S.dim + 1} vertices in R^{S.dim}, got {len(S.vertices)}"
-        )
     if S.volume() == 0:
         raise DegenerateSimplex("simplex has zero volume")
     return S

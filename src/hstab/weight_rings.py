@@ -45,11 +45,6 @@ LAURENT_TRUNCATION = 1e-12
 _LAURENT_MIN_SAMPLES = 3
 
 
-def as_float_vector(xi, dim: int) -> np.ndarray:
-    """``lattice_geom.as_float_vector`` as a float64 array."""
-    return np.array(lg.as_float_vector(xi, dim))
-
-
 def _is_float_like(xi) -> bool:
     return any(isinstance(c, (float, np.floating)) for c in lg._direction_entries(xi))
 
@@ -190,6 +185,8 @@ def _grouped_stats(alphas, dims, offsets):
 class _ToricTable(WeightTable):
     """The toric table of a lattice polytope P: multiplicity 1 at every
     lattice point of mP (``weight_table_toric`` adds the reflexivity gate).
+    P must have integer vertices, as a reflexive polytope has: then m v is
+    a lattice point of mP for every vertex v, so no degree is empty.
 
     It keeps only each degree's count N_m and exact moment vector, read on
     first use from the Ehrhart polynomials of P (``lattice_geom.
@@ -214,14 +211,11 @@ class _ToricTable(WeightTable):
         if m not in self._stats:
             # N_m is nondecreasing automatically: the dilates mP grow
             st = lg.lattice_stats(self._P, m)
-            if st.count == 0:
-                raise EmptyDegree(f"table has no entries at degree m = {m}")
             self._stats[m] = (st.count, st.moment)
         return self._stats[m]
 
     def _atom_blocks(self, m: int):
         # dims None: every multiplicity is 1
-        self._degree_stats(m)  # the degree's emptiness check
         blocks = lg._lattice_point_blocks(self._P, m)
         return map(lambda alphas: (alphas, None), blocks)
 
@@ -466,7 +460,7 @@ def total_weight(T: WeightTable, xi, m):
     """
     moment = T.moment(m)
     if _is_float_like(xi):
-        xf = tuple(as_float_vector(xi, T.dim).tolist())
+        xf = lg.as_float_vector(xi, T.dim)
         xs, s = _downscaled(xf, max(map(abs, moment)))
         try:
             return math.ldexp(math.fsum(mi * ci for mi, ci in zip(moment, xs)), s)
@@ -597,9 +591,10 @@ def _fsum_blocks(blocks) -> float:
     max at least 2^(K - 960) so that its cut is 2^(t-K-1), adds less than
     n 2^(t-K-1) < 2^(5g - 106) ulps of the result to E (2^-21 on blocks of
     2^16 terms): they seldom round apart.
-    When a block returns None, A and A + E round apart or either sum
-    overflows, math.fsum sums another pass of ``blocks()`` and gives its
-    own answer or error."""
+    Neither sum overflows, as every extracted term is below 2^960 and a
+    caller sums fewer than 2^63 terms.  When a block returns None, or A
+    and A + E round apart, math.fsum sums another pass of ``blocks()``
+    and gives its own answer or error."""
     parts, slacks = [], []
     for block in map(_exact_block_sum, blocks()):
         if block is None:
@@ -607,12 +602,9 @@ def _fsum_blocks(blocks) -> float:
         parts += block[0]
         slacks.append(block[1])
     else:
-        try:
-            result = math.fsum(parts)
-            if math.fsum(parts + slacks) == result:
-                return result
-        except OverflowError:
-            pass
+        result = math.fsum(parts)
+        if math.fsum(parts + slacks) == result:
+            return result
     return math.fsum(x for terms in blocks() for x in terms.tolist())
 
 
@@ -628,7 +620,7 @@ def c0_bruteforce(T: WeightTable, xi, m) -> float:
     not negative, so an exponent or a sum beyond the double range gives
     inf or 0, e^{-+inf} being the correctly rounded term."""
     m = T._check_degree(m)
-    xf = as_float_vector(xi, T.dim)
+    xf = lg.as_float_vector(xi, T.dim)
 
     def terms(block):
         # e^{-lambda} in place, as the lambdas of -xi are exactly -lambda
@@ -638,7 +630,7 @@ def c0_bruteforce(T: WeightTable, xi, m) -> float:
             return d if dims is None else np.multiply(d, dims, out=d)
 
     def blocks():
-        return map(terms, _lambda_blocks(T, -xf, m))
+        return map(terms, _lambda_blocks(T, np.negative(xf), m))
 
     try:
         total = _fsum_blocks(blocks)
@@ -678,7 +670,7 @@ def fit_b0_b1(T: WeightTable, xi) -> AsymptoticFit:
         )
     n = T.dim
     ms = np.arange(T.m_max // 2, T.m_max + 1, dtype=float)
-    xf = as_float_vector(xi, n)
+    xf = lg.as_float_vector(xi, n)
     y = np.array([total_weight(T, xf, int(m)) for m in ms])
     # scale columns to O(1) for conditioning, then unscale the coefficients
     s = float(T.m_max)
@@ -702,7 +694,7 @@ def fit_b0_b1(T: WeightTable, xi) -> AsymptoticFit:
 def c0_exact(P, xi) -> float:
     """c0(xi) = n! int_P e^{-<x,xi>} dx via the star triangulation and
     divided-difference simplex integrals."""
-    xf = as_float_vector(xi, P.dim)
+    xf = lg.as_float_vector(xi, P.dim)
     shift, i0, _, _ = exp_moments(lg.triangulate(P).simplices, xf, order=0)
     return math.factorial(P.dim) * (_safe_exp(shift) * i0)
 
@@ -717,8 +709,8 @@ def c0_lipschitz_check(P, xi, xi2) -> LipschitzCheck:
     """Continuity certificate for c0: the mean-value bound
     n! vol(P) R_P e^{R_P max(|xi|,|xi2|)} |xi - xi2| against the actual
     difference of c0_exact values."""
-    xf = as_float_vector(xi, P.dim)
-    xf2 = as_float_vector(xi2, P.dim)
+    xf = lg.as_float_vector(xi, P.dim)
+    xf2 = lg.as_float_vector(xi2, P.dim)
     r = max_vertex_norm(P)
     big = max(float(np.linalg.norm(xf)), float(np.linalg.norm(xf2)))
     bound = (
@@ -726,7 +718,7 @@ def c0_lipschitz_check(P, xi, xi2) -> LipschitzCheck:
         * float(lg.volume(P))
         * r
         * _safe_exp(r * big)
-        * float(np.linalg.norm(xf - xf2))
+        * float(np.linalg.norm(np.subtract(xf, xf2)))
     )
     actual = abs(c0_exact(P, xf) - c0_exact(P, xf2))
     return LipschitzCheck(
@@ -799,7 +791,7 @@ def dh_measure(T: WeightTable, xi, m) -> DHSample:
     single division by N_m.  Raises ValueError, naming m and xi, when a
     lambda leaves the double range."""
     m = T._check_degree(m)
-    xf = as_float_vector(xi, T.dim)
+    xf = lg.as_float_vector(xi, T.dim)
     lambdas = np.empty(T._rows(m))
     start = 0
     for block, _ in _lambda_blocks(T, xf, m):
@@ -815,7 +807,7 @@ def dh_measure(T: WeightTable, xi, m) -> DHSample:
     # sorted, so -inf comes first and inf last
     if not (math.isfinite(uniq[0]) and math.isfinite(uniq[-1])):
         raise ValueError(
-            f"direction {tuple(xf.tolist())}: a lambda at degree {m} leaves "
+            f"direction {xf}: a lambda at degree {m} leaves "
             "the double range in dh_measure"
         )
     masses = np.asarray(weights / T.count(m), dtype=float)
@@ -842,8 +834,14 @@ def dh_exp_moment(D: DHSample) -> float:
 
 
 def _character_sum(w, t: float) -> float:
-    """sum_m e^{-t m} w[m - 1] over the given weights w_1, w_2, ..."""
-    return math.fsum(math.exp(-t * m) * wm for m, wm in enumerate(w, 1))
+    """sum_m e^{-t m} w[m - 1] over the given finite weights w_1, w_2, ...
+    Every term is finite (e^{-t m} <= 1): only the sum can overflow."""
+    try:
+        return math.fsum(math.exp(-t * m) * wm for m, wm in enumerate(w, 1))
+    except OverflowError:
+        raise ValueError(
+            f"the weight character at t = {t!r} leaves the double range"
+        ) from None
 
 
 def weight_character(T: WeightTable, xi, t, m_cut: int) -> float:
@@ -852,7 +850,7 @@ def weight_character(T: WeightTable, xi, t, m_cut: int) -> float:
     if not (t > 0) or not math.isfinite(t):
         raise ValueError(f"character parameter t must be positive, got {t!r}")
     m_cut = T._check_degree(m_cut)
-    xf = as_float_vector(xi, T.dim)
+    xf = lg.as_float_vector(xi, T.dim)
     return _character_sum((total_weight(T, xf, m) for m in range(1, m_cut + 1)), t)
 
 
@@ -887,7 +885,7 @@ def laurent_fit(T: WeightTable, xi) -> LaurentFit:
             required_m_max=need,
         )
     n = T.dim
-    xf = as_float_vector(xi, n)
+    xf = lg.as_float_vector(xi, n)
     # each w_m once, shared by every t
     w = [total_weight(T, xf, m) for m in range(1, T.m_max + 1)]
     ts = np.array(usable, dtype=float)

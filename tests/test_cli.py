@@ -743,6 +743,26 @@ def test_dh_histogram(runner):
     assert math.fsum(masses) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_dh_histogram_of_one_atom_widens_the_range(runner):
+    """At xi = 0 every lambda is 0, so the histogram spans [-1/2, 1/2]."""
+    doc = run_json(
+        runner, ["dh", path_of("square"), "--xi", "0,0", "--m", "2", "--bins", "3"]
+    )
+    rep = doc["report"]
+    assert rep["n_atoms"] == 1
+    edges = [float(x) for x in rep["histogram"]["edges"]]
+    assert edges == pytest.approx([-0.5, -1 / 6, 1 / 6, 0.5], abs=1e-15)
+    assert [float(x) for x in rep["histogram"]["masses"]] == [0.0, 1.0, 0.0]
+
+
+def test_dh_bad_bins(runner):
+    res = runner.invoke(
+        main, ["dh", path_of("square"), "--xi", "1,0", "--m", "2", "--bins", "0"]
+    )
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == "error: --bins must be >= 1, got 0\n"
+
+
 def test_dh_bad_degree(runner):
     res = runner.invoke(main, ["dh", path_of("interval"), "--xi", "1", "--m", "0"])
     assert res.exit_code == 2
@@ -852,6 +872,28 @@ def test_character_non_finite_samples_exit_2(runner):
         "error: --xi 1e307,0: direction (1e+307, 0.0): the weight sum at "
         "degree 4 leaves the double range in total_weight"
     )
+
+
+def test_character_past_the_double_range_names_t(runner):
+    """Finite weight sums whose character at t = 1e-6 leaves the double
+    range are refused on one line naming t, not math.fsum's own text."""
+    res = runner.invoke(
+        main,
+        ["character", path_of("blowup_one"), "--xi", "2.4e302,0", "--t", "0.000001"],
+    )
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == (
+        "error: --xi 2.4e302,0: the weight character at t = 1e-06 leaves "
+        "the double range\n"
+    )
+
+
+def test_character_polytope_bad_m_max(runner):
+    res = runner.invoke(
+        main, ["character", path_of("blowup_one"), "--xi", "1,1", "--m-max", "0"]
+    )
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == "error: --m-max must be >= 1, got 0\n"
 
 
 def test_character_help_shows_the_laurent_t_samples(runner):

@@ -291,6 +291,11 @@ def test_simplex_volume_and_degeneracy():
         simplex([(0, 0), (1, 0), (2, 0)]).volume()
 
 
+def test_simplex_names_a_wrong_vertex_count():
+    with pytest.raises(DegenerateSimplex, match=r"^need 3 vertices in R\^2, got 2$"):
+        simplex([(0, 0), (1, 0)])
+
+
 def test_simplex_volume_taken_once(monkeypatch):
     """The volume is kept on the simplex: one determinant however often it
     is read, and eq, hash and repr see only the vertices."""

@@ -781,6 +781,17 @@ def test_terms_near_the_ends_of_the_double_range_fall_back(fsum_fallbacks):
         assert fsum_fallbacks == [], inside
 
 
+def test_the_largest_extracted_block_sums_to_finite_parts():
+    """2^16 - 1 terms just below 2^960, the largest a block of that size
+    may hold and still be extracted, give finite parts and no slack, and
+    the parts' fsum is the terms' fsum: a caller's sum of parts stays in
+    the double range."""
+    terms = np.full(2**16 - 1, math.nextafter(2.0**960, 0.0))
+    parts, slack = wr._exact_block_sum(terms)
+    assert slack == 0.0 and all(math.isfinite(p) for p in parts)
+    assert math.fsum(parts) == math.fsum(terms.tolist())
+
+
 def perfbench_gen():
     """``perfbench/gen``, the benchmark's direction pool."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")
@@ -890,7 +901,7 @@ def test_c0_estimate_extrapolates():
 def oneshot_c0_bruteforce(T, xi, m):
     """c0_bruteforce as it was before the degree was streamed in blocks:
     every term of the degree at once, summed by math.fsum."""
-    xf = wr.as_float_vector(xi, T.dim)
+    xf = lg.as_float_vector(xi, T.dim)
     alphas, dims = T.atoms(m)
     with np.errstate(over="ignore"):
         terms = np.exp(-(alphas @ xf) / m) * dims
@@ -900,7 +911,7 @@ def oneshot_c0_bruteforce(T, xi, m):
 def oneshot_dh_measure(T, xi, m):
     """dh_measure's (lambdas, masses) as they were before the degree was
     streamed in blocks: one product, one inverse and np.add.at."""
-    xf = wr.as_float_vector(xi, T.dim)
+    xf = lg.as_float_vector(xi, T.dim)
     alphas, dims = T.atoms(m)
     lambdas = (alphas @ xf) / m
     uniq, inverse = np.unique(lambdas, return_inverse=True)
@@ -1184,6 +1195,17 @@ def test_character_requires_positive_t():
         wr.weight_character(T, (1.0,), 0.5, 5)
 
 
+def test_character_past_the_double_range_names_t():
+    """Finite weight sums whose character at a small t leaves the double
+    range raise ValueError naming t, not math.fsum's own OverflowError."""
+    T = wr.weight_table_toric(corpus.load_corpus("blowup_one"), 128)
+    with pytest.raises(ValueError) as info:
+        wr.weight_character(T, (2.4e302, 0.0), 1e-6, T.m_max)
+    assert str(info.value) == (
+        "the weight character at t = 1e-06 leaves the double range"
+    )
+
+
 def test_character_reproducible_and_matches_direct_sum():
     P = corpus.load_corpus("blowup_one")
     T = wr.weight_table_toric(P, 64)
@@ -1270,7 +1292,7 @@ def per_t_laurent_fit(T, xi):
         if math.exp(-t * T.m_max) < wr.LAURENT_TRUNCATION
     ]
     n = T.dim
-    xf = wr.as_float_vector(xi, n)
+    xf = lg.as_float_vector(xi, n)
     ts = np.array(usable, dtype=float)
     y = np.array(
         [t ** (n + 2) * per_t_weight_character(T, xf, t, T.m_max) for t in usable]
@@ -1293,7 +1315,7 @@ def laurent_directions(n):
 
 def assert_laurent_matches_per_t(T):
     for xi in laurent_directions(T.dim):
-        xf = wr.as_float_vector(xi, T.dim)
+        xf = lg.as_float_vector(xi, T.dim)
         for t in wr.LAURENT_T_SAMPLES:
             got = wr.weight_character(T, xi, t, T.m_max)
             assert got.hex() == per_t_weight_character(T, xf, t, T.m_max).hex()
